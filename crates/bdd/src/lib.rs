@@ -94,11 +94,13 @@ pub const NUM_SHARDS: usize = 1 << SHARD_BITS;
 
 const SHARD_BITS: u32 = 6;
 const SHARD_MASK: u32 = (NUM_SHARDS as u32) - 1;
-/// First arena chunk holds 2^10 slots; each subsequent chunk doubles.
-const CHUNK_BASE_BITS: u32 = 10;
-/// 16 doubling chunks cover the full 25-bit per-shard slot space (one
+/// First arena chunk holds 2^6 slots; each subsequent chunk doubles. A
+/// small first chunk keeps a small circuit's substrate small: every shard
+/// that stores a node builds its first chunk.
+const CHUNK_BASE_BITS: u32 = 6;
+/// 20 doubling chunks cover the full 25-bit per-shard slot space (one
 /// handle bit goes to the complement edge).
-const MAX_CHUNKS: usize = 16;
+const MAX_CHUNKS: usize = 20;
 const MAX_SLOT: u32 = (1 << (32 - SHARD_BITS - 1)) - 1;
 
 /// A handle to a BDD node inside a [`BddManager`].

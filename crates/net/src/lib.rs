@@ -206,19 +206,33 @@ pub enum NodeKind {
     Gate(GateKind),
 }
 
+/// One node: its kind plus a `start..start + len` range into the
+/// network's fanin arena (a gate) or name arena (an input, in bytes).
 #[derive(Debug, Clone)]
 struct Node {
     kind: NodeKind,
-    fanins: Vec<SignalId>,
-    name: Option<String>,
+    start: u32,
+    len: u32,
+}
+
+impl Node {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 /// A multilevel logic network: a DAG of gates over primary inputs, with
 /// named primary outputs.
+///
+/// Storage is flat: every gate's fanin list lives in one shared arena and
+/// every input name in one shared string, so a node costs 12 bytes plus
+/// its fanins, with no per-node allocation.
 #[derive(Debug, Clone)]
 pub struct Network {
     name: String,
     nodes: Vec<Node>,
+    fanins: Vec<SignalId>,
+    names: String,
     inputs: Vec<SignalId>,
     outputs: Vec<(String, SignalId)>,
 }
@@ -229,6 +243,8 @@ impl Network {
         Network {
             name: name.into(),
             nodes: Vec::new(),
+            fanins: Vec::new(),
+            names: String::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
         }
@@ -242,10 +258,12 @@ impl Network {
     /// Adds a primary input with the given name.
     pub fn add_input(&mut self, name: impl Into<String>) -> SignalId {
         let id = SignalId(self.nodes.len() as u32);
+        let start = self.names.len() as u32;
+        self.names.push_str(&name.into());
         self.nodes.push(Node {
             kind: NodeKind::Input,
-            fanins: Vec::new(),
-            name: Some(name.into()),
+            start,
+            len: self.names.len() as u32 - start,
         });
         self.inputs.push(id);
         id
@@ -277,9 +295,10 @@ impl Network {
         let id = SignalId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind: NodeKind::Gate(kind),
-            fanins,
-            name: None,
+            start: self.fanins.len() as u32,
+            len: fanins.len() as u32,
         });
+        self.fanins.extend_from_slice(&fanins);
         Ok(id)
     }
 
@@ -367,12 +386,20 @@ impl Network {
 
     /// The fanins of a node.
     pub fn fanins(&self, id: SignalId) -> &[SignalId] {
-        &self.nodes[id.index()].fanins
+        let node = &self.nodes[id.index()];
+        match node.kind {
+            NodeKind::Input => &[],
+            NodeKind::Gate(_) => &self.fanins[node.range()],
+        }
     }
 
     /// The optional name of a node (inputs always have one).
     pub fn node_name(&self, id: SignalId) -> Option<&str> {
-        self.nodes[id.index()].name.as_deref()
+        let node = &self.nodes[id.index()];
+        match node.kind {
+            NodeKind::Input => Some(&self.names[node.range()]),
+            NodeKind::Gate(_) => None,
+        }
     }
 
     /// Replaces the gate function and fanins of an existing gate node in
@@ -391,7 +418,9 @@ impl Network {
         }
     }
 
-    /// Fallible form of [`Network::replace_gate`].
+    /// Fallible form of [`Network::replace_gate`]. A fanin list no longer
+    /// than the old one is written in place; a longer one is appended to
+    /// the arena (the old slots stay unused until [`Network::sweep`]).
     pub fn try_replace_gate(
         &mut self,
         id: SignalId,
@@ -402,8 +431,16 @@ impl Network {
             return Err(NetError::ReplacesInput { node: id });
         }
         self.check_gate(kind, &fanins)?;
-        self.nodes[id.index()].kind = NodeKind::Gate(kind);
-        self.nodes[id.index()].fanins = fanins;
+        let node = &mut self.nodes[id.index()];
+        node.kind = NodeKind::Gate(kind);
+        if fanins.len() > node.len as usize {
+            node.start = self.fanins.len() as u32;
+            self.fanins.extend_from_slice(&fanins);
+        } else {
+            let start = node.start as usize;
+            self.fanins[start..start + fanins.len()].copy_from_slice(&fanins);
+        }
+        node.len = fanins.len() as u32;
         Ok(())
     }
 
@@ -442,7 +479,7 @@ impl Network {
                     continue;
                 }
                 mark[id.index()] = Mark::Grey;
-                let fanins = &self.nodes[id.index()].fanins;
+                let fanins = self.fanins(id);
                 if *next < fanins.len() {
                     let child = fanins[*next];
                     *next += 1;
@@ -500,7 +537,7 @@ impl Network {
         }
         for id in self.topo_order() {
             if let NodeKind::Gate(k) = self.nodes[id.index()].kind {
-                let v = k.eval(self.nodes[id.index()].fanins.iter().map(|f| val[f.index()]));
+                let v = k.eval(self.fanins(id).iter().map(|f| val[f.index()]));
                 val[id.index()] = v;
             }
         }
@@ -540,11 +577,7 @@ impl Network {
             let NodeKind::Gate(kind) = self.nodes[id.index()].kind else {
                 continue;
             };
-            let fanins: Vec<SigRef> = self.nodes[id.index()]
-                .fanins
-                .iter()
-                .map(|f| map[f])
-                .collect();
+            let fanins: Vec<SigRef> = self.fanins(id).iter().map(|f| map[f]).collect();
             let r = out.build_simplified(kind, &fanins);
             map.insert(id, r);
         }
@@ -553,6 +586,12 @@ impl Network {
             let s = out.materialize(r);
             out.add_output(name, s);
         }
+        // sweep results are often kept (caches, replies): drop the slack
+        out.nodes.shrink_to_fit();
+        out.fanins.shrink_to_fit();
+        out.names.shrink_to_fit();
+        out.inputs.shrink_to_fit();
+        out.outputs.shrink_to_fit();
         out
     }
 
@@ -670,11 +709,7 @@ impl Network {
             let NodeKind::Gate(kind) = self.nodes[id.index()].kind else {
                 continue;
             };
-            let fan: Vec<SigRef> = self.nodes[id.index()]
-                .fanins
-                .iter()
-                .map(|f| map[f])
-                .collect();
+            let fan: Vec<SigRef> = self.fanins(id).iter().map(|f| map[f]).collect();
             let r = out.build2(kind, &fan);
             map.insert(id, r);
         }
@@ -823,11 +858,7 @@ impl Network {
             let NodeKind::Gate(kind) = self.nodes[id.index()].kind else {
                 continue;
             };
-            let mut fan: Vec<SignalId> = self.nodes[id.index()]
-                .fanins
-                .iter()
-                .map(|f| map[f])
-                .collect();
+            let mut fan: Vec<SignalId> = self.fanins(id).iter().map(|f| map[f]).collect();
             let commutative = matches!(
                 kind,
                 GateKind::And
@@ -934,6 +965,11 @@ mod tests {
         n.add_output("s", s);
         n.add_output("cout", cout);
         n
+    }
+
+    #[test]
+    fn node_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 12);
     }
 
     #[test]

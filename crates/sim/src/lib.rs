@@ -492,8 +492,8 @@ mod tests {
         let pats = exhaustive_patterns(3);
         for block in pack_patterns(3, &pats) {
             let val = sim.simulate_block(&block.words);
-            for k in 0..block.lanes as usize {
-                let (av, bv, cv) = (pats[k][0], pats[k][1], pats[k][2]);
+            for (k, p) in pats.iter().enumerate().take(block.lanes as usize) {
+                let (av, bv, cv) = (p[0], p[1], p[2]);
                 let want = (av && bv) ^ cv;
                 assert_eq!(val[root.index()] & (1 << k) != 0, want, "pattern {k}");
             }

@@ -1,7 +1,7 @@
 //! A network of SOP nodes — the SIS/MIS working representation.
 
 use crate::algebra::{self, covers_same, Factored};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use xsynth_boolean::{Cube, Sop};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 
@@ -270,86 +270,49 @@ impl SopNet {
         }
     }
 
-    /// How many times `signal` is referenced (either phase) across live
-    /// node covers, plus once per primary output it drives.
-    pub fn num_uses(&self, signal: usize) -> usize {
-        let mut uses = 0;
-        for n in self.nodes.iter().flatten() {
-            for c in n.cubes() {
-                if c.phase(signal).is_some() {
-                    uses += 1;
-                }
+    /// The signal→fanout-node index of the live covers: entry `v` lists
+    /// every live node signal whose cover references signal `v`.
+    fn fanout_index(&self) -> Vec<Vec<usize>> {
+        let mut fanouts = vec![Vec::new(); self.num_pis() + self.nodes.len()];
+        for sig in self.live_signals() {
+            for v in self.cover(sig).expect("live").support().iter() {
+                fanouts[v].push(sig);
             }
         }
-        uses + self.outputs.iter().filter(|&&(_, s)| s == signal).count()
+        fanouts
     }
 
-    /// Substitutes the cover of node `signal` into every cover that
-    /// references it, then deletes the node. Negative references use the
-    /// Shannon complement of the cover. No-op (returns `false`) if the node
-    /// drives a primary output or is not a live node.
-    pub fn collapse(&mut self, signal: usize) -> bool {
-        let np = self.num_pis();
-        if signal < np || self.cover(signal).is_none() {
-            return false;
-        }
-        if self.outputs.iter().any(|&(_, s)| s == signal) {
-            return false;
-        }
-        let cover = self.cover(signal).expect("checked live").clone();
-        let cover_neg = cover.complement();
-        for i in 0..self.nodes.len() {
-            let Some(f) = &self.nodes[i] else { continue };
-            if i + np == signal || !f.support().contains(signal) {
-                continue;
-            }
-            let mut new_cubes: Vec<Cube> = Vec::new();
-            for c in f.cubes() {
-                match c.phase(signal) {
-                    None => new_cubes.push(c.clone()),
-                    Some(ph) => {
-                        let mut rest = c.clone();
-                        rest.remove_var(signal);
-                        let sub = if ph { &cover } else { &cover_neg };
-                        for sc in sub.cubes() {
-                            if let Some(merged) = rest.intersect(sc) {
-                                new_cubes.push(merged);
-                            }
-                        }
-                    }
-                }
-            }
-            let mut ns = Sop::from_cubes(new_cubes);
-            ns.remove_contained();
-            self.nodes[i] = Some(ns);
-        }
-        self.nodes[signal - np] = None;
-        true
-    }
-
-    /// The exact SOP-literal change that collapsing `signal` into its
-    /// fanouts would cause (negative = shrink), or `None` when the node is
-    /// not collapsible (drives an output, is not live, or needs an
-    /// oversized complement).
-    pub fn collapse_delta(&self, signal: usize, max_cover: usize) -> Option<i64> {
-        let np = self.num_pis();
-        if signal < np || self.outputs.iter().any(|&(_, s)| s == signal) {
+    /// The `eliminate` key of node `signal`: `i64::MIN` for a dead node,
+    /// otherwise the exact SOP-literal change that collapsing it into its
+    /// fanouts would cause (negative = shrink). `None` when the node is not
+    /// a candidate: it drives an output, is not live, exceeds `max_cover`,
+    /// or needs an oversized complement.
+    fn collapse_delta(
+        &self,
+        fanouts: &[Vec<usize>],
+        drives_output: &[bool],
+        signal: usize,
+        max_cover: usize,
+    ) -> Option<i64> {
+        if drives_output[signal] {
             return None;
         }
         let cover = self.cover(signal)?;
+        if fanouts[signal].is_empty() {
+            return Some(i64::MIN);
+        }
         if cover.num_cubes() > max_cover {
             return None;
         }
-        let uses = self.num_uses(signal);
-        if uses == 0 {
-            return Some(-(cover.num_literals() as i64));
-        }
-        let needs_complement = self
-            .nodes
-            .iter()
-            .flatten()
-            .any(|f| f.cubes().iter().any(|c| c.phase(signal) == Some(false)));
-        let complement = if needs_complement {
+        let refs = || {
+            fanouts[signal].iter().flat_map(move |&f| {
+                let cubes = self.cover(f).expect("fanouts are live").cubes();
+                cubes
+                    .iter()
+                    .filter_map(move |c| Some((c, c.phase(signal)?)))
+            })
+        };
+        let complement = if refs().any(|(_, ph)| !ph) {
             if cover.num_cubes() > 24 {
                 return None; // complement could blow up
             }
@@ -358,56 +321,110 @@ impl SopNet {
             None
         };
         let mut delta: i64 = -(cover.num_literals() as i64);
-        for f in self.nodes.iter().flatten() {
-            for c in f.cubes() {
-                let Some(ph) = c.phase(signal) else { continue };
-                let sub = if ph {
-                    cover
-                } else {
-                    complement.as_ref().expect("computed when needed")
-                };
-                let mut rest = c.clone();
-                rest.remove_var(signal);
-                let old = c.num_literals() as i64;
-                let mut new = 0i64;
-                for sc in sub.cubes() {
-                    if let Some(m) = rest.intersect(sc) {
-                        new += m.num_literals() as i64;
-                    }
-                }
-                delta += new - old;
-            }
+        for (c, ph) in refs() {
+            let sub = if ph {
+                cover
+            } else {
+                complement.as_ref().expect("computed when needed")
+            };
+            let mut rest = c.clone();
+            rest.remove_var(signal);
+            let new: i64 = sub
+                .cubes()
+                .iter()
+                .filter_map(|sc| rest.intersect(sc))
+                .map(|m| m.num_literals() as i64)
+                .sum();
+            delta += new - c.num_literals() as i64;
         }
         Some(delta)
     }
 
-    /// SIS-style `eliminate`: repeatedly collapses the node whose exact
-    /// literal delta is smallest, as long as it is at most `threshold`.
-    /// Dead nodes always go; `max_cover` guards against cube blowup.
-    pub fn eliminate(&mut self, threshold: i64, max_cover: usize) {
-        loop {
-            let mut best: Option<(usize, i64)> = None;
-            for sig in self.live_signals() {
-                if self.num_uses(sig) == 0 && !self.outputs.iter().any(|&(_, s)| s == sig) {
-                    best = Some((sig, i64::MIN));
-                    break;
-                }
-                if let Some(delta) = self.collapse_delta(sig, max_cover) {
-                    if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
-                        best = Some((sig, delta));
+    /// Deletes node `signal`, first substituting its cover into every
+    /// fanout (negative references use the Shannon complement), and keeps
+    /// `fanouts` exact. Returns every signal whose `eliminate` key may have
+    /// changed: the node's fanins, its fanouts, and the fanins those
+    /// fanouts had before and after the rewrite.
+    fn collapse(&mut self, fanouts: &mut [Vec<usize>], signal: usize) -> Vec<usize> {
+        let np = self.num_pis();
+        let cover = self.nodes[signal - np]
+            .take()
+            .expect("collapsing a live node");
+        let mut touched: Vec<usize> = cover.support().iter().collect();
+        for &v in &touched {
+            unlink(&mut fanouts[v], signal);
+        }
+        let mut cover_neg = None;
+        for f in std::mem::take(&mut fanouts[signal]) {
+            let old = self.cover(f).expect("fanouts are live");
+            let old_support = old.support();
+            let mut new_cubes: Vec<Cube> = Vec::new();
+            for c in old.cubes() {
+                match c.phase(signal) {
+                    None => new_cubes.push(c.clone()),
+                    Some(ph) => {
+                        let mut rest = c.clone();
+                        rest.remove_var(signal);
+                        let sub = if ph {
+                            &cover
+                        } else {
+                            cover_neg.get_or_insert_with(|| cover.complement())
+                        };
+                        new_cubes.extend(sub.cubes().iter().filter_map(|sc| rest.intersect(sc)));
                     }
                 }
             }
-            match best {
-                Some((sig, _)) => {
-                    let np = self.num_pis();
-                    if self.num_uses(sig) == 0 {
-                        self.nodes[sig - np] = None;
-                    } else {
-                        self.collapse(sig);
-                    }
+            let mut ns = Sop::from_cubes(new_cubes);
+            ns.remove_contained();
+            let new_support = ns.support();
+            for v in old_support.iter() {
+                if !new_support.contains(v) {
+                    unlink(&mut fanouts[v], f);
                 }
-                None => break,
+            }
+            for v in new_support.iter() {
+                if !old_support.contains(v) {
+                    fanouts[v].push(f);
+                }
+            }
+            touched.push(f);
+            touched.extend(old_support.union(&new_support).iter());
+            self.nodes[f - np] = Some(ns);
+        }
+        touched
+    }
+
+    /// SIS-style `eliminate`: repeatedly collapses the node whose exact
+    /// literal delta is smallest (ties: lowest signal), as long as it is
+    /// at most `threshold`. Dead nodes always go first, lowest signal
+    /// first; `max_cover` guards against cube blowup.
+    ///
+    /// Incremental: a signal→fanout-node index is built once, every
+    /// candidate's key sits in an ordered set, and a collapse recomputes
+    /// only the keys it can change, so one round costs the work local to
+    /// the collapsed node instead of a scan of every cover.
+    pub fn eliminate(&mut self, threshold: i64, max_cover: usize) {
+        let np = self.num_pis();
+        let mut fanouts = self.fanout_index();
+        let mut drives_output = vec![false; fanouts.len()];
+        for &(_, s) in &self.outputs {
+            drives_output[s] = true;
+        }
+        let key = |s: &SopNet, fanouts: &[Vec<usize>], sig| {
+            s.collapse_delta(fanouts, &drives_output, sig, max_cover)
+                .filter(|&d| d <= threshold)
+        };
+        let mut queue = KeyQueue::new(fanouts.len());
+        for sig in self.live_signals() {
+            queue.set(sig, key(self, &fanouts, sig));
+        }
+        while let Some(sig) = queue.first() {
+            let mut touched = self.collapse(&mut fanouts, sig);
+            touched.push(sig);
+            touched.sort_unstable();
+            touched.dedup();
+            for t in touched.into_iter().filter(|&t| t >= np) {
+                queue.set(t, key(self, &fanouts, t));
             }
         }
     }
@@ -582,6 +599,43 @@ impl SopNet {
     }
 }
 
+/// The `eliminate` candidates ordered by `(key, signal)`, with each
+/// signal's current key so it can be re-keyed in place.
+struct KeyQueue {
+    keys: Vec<Option<i64>>,
+    order: BTreeSet<(i64, usize)>,
+}
+
+impl KeyQueue {
+    fn new(signals: usize) -> Self {
+        KeyQueue {
+            keys: vec![None; signals],
+            order: BTreeSet::new(),
+        }
+    }
+
+    /// The candidate with the smallest key, ties to the lowest signal.
+    fn first(&self) -> Option<usize> {
+        self.order.first().map(|&(_, sig)| sig)
+    }
+
+    fn set(&mut self, sig: usize, key: Option<i64>) {
+        if let Some(old) = std::mem::replace(&mut self.keys[sig], key) {
+            self.order.remove(&(old, sig));
+        }
+        if let Some(k) = key {
+            self.order.insert((k, sig));
+        }
+    }
+}
+
+/// Removes `node` from one fanout list.
+fn unlink(fanouts: &mut Vec<usize>, node: usize) {
+    if let Some(i) = fanouts.iter().position(|&n| n == node) {
+        fanouts.swap_remove(i);
+    }
+}
+
 /// The literal saving from rewriting `f = q·y + r` with divisor `d` (the
 /// new literal `y` counted), or 0 when `d` does not divide `f`.
 fn rewrite_gain(f: &Sop, d: &Sop) -> i64 {
@@ -741,7 +795,8 @@ mod tests {
         // f = ¬t
         let f = s.add_node(Sop::from_cubes([Cube::literal(t, false)]));
         s.add_output("f", f);
-        assert!(s.collapse(t));
+        s.eliminate(0, 64);
+        assert!(s.cover(t).is_none(), "t collapses into f");
         // f must now be ¬a + ¬b
         for m in 0..4u64 {
             let expect = !(m & 1 != 0 && m & 2 != 0);
@@ -750,11 +805,15 @@ mod tests {
     }
 
     #[test]
-    fn collapse_refuses_output_nodes() {
+    fn eliminate_keeps_output_nodes() {
         let net = sample_network();
         let mut s = SopNet::from_network(&net);
-        let out_sig = s.outputs()[0].1;
-        assert!(!s.collapse(out_sig));
+        s.eliminate(i64::MAX, usize::MAX);
+        for &(_, sig) in s.outputs() {
+            assert!(s.cover(sig).is_some(), "output node {sig} survives");
+        }
+        assert_eq!(s.live_signals().len(), 2);
+        check_equiv(&s, &net);
     }
 
     #[test]
@@ -836,5 +895,233 @@ mod tests {
         s.add_output("o", live);
         s.eliminate(-100, 64);
         assert_eq!(s.live_signals().len(), 1);
+    }
+
+    /// The quadratic `eliminate` the incremental one replaced: every round
+    /// rescans every cover for every node. Kept as the oracle whose picks,
+    /// and so whose covers, the incremental version must reproduce.
+    mod reference {
+        use super::*;
+
+        fn drives_output(s: &SopNet, signal: usize) -> bool {
+            s.outputs.iter().any(|&(_, o)| o == signal)
+        }
+
+        fn num_uses(s: &SopNet, signal: usize) -> usize {
+            let refs = s.nodes.iter().flatten().flat_map(Sop::cubes);
+            let uses = refs.filter(|c| c.phase(signal).is_some()).count();
+            uses + s.outputs.iter().filter(|&&(_, o)| o == signal).count()
+        }
+
+        fn collapse_delta(s: &SopNet, signal: usize, max_cover: usize) -> Option<i64> {
+            if signal < s.num_pis() || drives_output(s, signal) {
+                return None;
+            }
+            let cover = s.cover(signal)?;
+            if cover.num_cubes() > max_cover {
+                return None;
+            }
+            if num_uses(s, signal) == 0 {
+                return Some(-(cover.num_literals() as i64));
+            }
+            let refs = s.nodes.iter().flatten().flat_map(Sop::cubes);
+            let complement = if refs.clone().any(|c| c.phase(signal) == Some(false)) {
+                if cover.num_cubes() > 24 {
+                    return None;
+                }
+                Some(cover.complement())
+            } else {
+                None
+            };
+            let mut delta: i64 = -(cover.num_literals() as i64);
+            for c in refs {
+                let Some(ph) = c.phase(signal) else { continue };
+                let sub = if ph {
+                    cover
+                } else {
+                    complement.as_ref().unwrap()
+                };
+                let mut rest = c.clone();
+                rest.remove_var(signal);
+                let new: i64 = sub
+                    .cubes()
+                    .iter()
+                    .filter_map(|sc| rest.intersect(sc))
+                    .map(|m| m.num_literals() as i64)
+                    .sum();
+                delta += new - c.num_literals() as i64;
+            }
+            Some(delta)
+        }
+
+        fn collapse(s: &mut SopNet, signal: usize) {
+            let np = s.num_pis();
+            let cover = s.cover(signal).unwrap().clone();
+            let cover_neg = cover.complement();
+            for i in 0..s.nodes.len() {
+                let Some(f) = &s.nodes[i] else { continue };
+                if i + np == signal || !f.support().contains(signal) {
+                    continue;
+                }
+                let mut new_cubes: Vec<Cube> = Vec::new();
+                for c in f.cubes() {
+                    match c.phase(signal) {
+                        None => new_cubes.push(c.clone()),
+                        Some(ph) => {
+                            let mut rest = c.clone();
+                            rest.remove_var(signal);
+                            let sub = if ph { &cover } else { &cover_neg };
+                            new_cubes
+                                .extend(sub.cubes().iter().filter_map(|sc| rest.intersect(sc)));
+                        }
+                    }
+                }
+                let mut ns = Sop::from_cubes(new_cubes);
+                ns.remove_contained();
+                s.nodes[i] = Some(ns);
+            }
+            s.nodes[signal - np] = None;
+        }
+
+        pub fn eliminate(s: &mut SopNet, threshold: i64, max_cover: usize) {
+            loop {
+                let mut best: Option<(usize, i64)> = None;
+                for sig in s.live_signals() {
+                    if num_uses(s, sig) == 0 && !drives_output(s, sig) {
+                        best = Some((sig, i64::MIN));
+                        break;
+                    }
+                    if let Some(delta) = collapse_delta(s, sig, max_cover) {
+                        if delta <= threshold && best.is_none_or(|(_, v)| delta < v) {
+                            best = Some((sig, delta));
+                        }
+                    }
+                }
+                let Some((sig, _)) = best else { break };
+                if num_uses(s, sig) == 0 {
+                    let np = s.num_pis();
+                    s.nodes[sig - np] = None;
+                } else {
+                    collapse(s, sig);
+                }
+            }
+        }
+    }
+
+    /// Runs `eliminate` and the reference on copies of `s`, asserts they
+    /// leave identical covers, and keeps the result in `s`.
+    fn eliminate_like_reference(s: &mut SopNet, threshold: i64, max_cover: usize, what: &str) {
+        let mut expect = s.clone();
+        reference::eliminate(&mut expect, threshold, max_cover);
+        s.eliminate(threshold, max_cover);
+        assert!(
+            s.nodes == expect.nodes,
+            "{what}: eliminate({threshold}, {max_cover}) diverged from the reference"
+        );
+    }
+
+    /// Every registry row, at the parameter sets of `eliminate`'s callers:
+    /// both eliminates of `script_algebraic` (the second one after
+    /// extraction and resubstitution), `synthesize_blocks` and the FPRM
+    /// flow's sharing pass.
+    fn registry_oracle(caller: fn(&str, Network)) {
+        let rows = xsynth_circuits::registry();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let Some(row) = rows.get(i) else { break };
+                    caller(row.name, xsynth_circuits::build(row.name).unwrap());
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn eliminate_matches_reference_in_the_sop_script() {
+        registry_oracle(|name, net| {
+            let mut s = SopNet::from_network(&net.sweep());
+            eliminate_like_reference(&mut s, 4, 256, name);
+            s.simplify();
+            s.extract(400);
+            s.resubstitute();
+            s.simplify();
+            eliminate_like_reference(&mut s, 0, 256, name);
+        });
+    }
+
+    #[test]
+    fn eliminate_matches_reference_in_the_fprm_flow() {
+        registry_oracle(|name, net| {
+            eliminate_like_reference(&mut SopNet::from_network(&net), 8, 64, name);
+            let mut s = SopNet::from_network(&net);
+            eliminate_like_reference(&mut s, 0, 16, name);
+            s.resubstitute();
+            s.extract(128);
+            eliminate_like_reference(&mut s, 0, 16, name);
+        });
+    }
+
+    /// A random SOP network: every node covers random cubes over the
+    /// primary inputs and earlier nodes, in both phases, and the outputs
+    /// are a random mix of inputs and internal nodes.
+    fn random_sopnet(seed: u64, pis: usize, nodes: usize) -> SopNet {
+        let mut rng = seed | 1;
+        let mut next = move |m: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % m
+        };
+        let mut s = SopNet::new("rand");
+        for i in 0..pis {
+            s.add_pi(format!("x{i}"));
+        }
+        for _ in 0..nodes {
+            let signals = s.num_pis() + s.nodes.len();
+            let cubes: Vec<Cube> = (0..1 + next(4))
+                .filter_map(|_| {
+                    let mut c = Cube::universe();
+                    for _ in 0..1 + next(3) {
+                        c.add_literal(next(signals as u64) as usize, next(3) != 0);
+                    }
+                    (!c.is_universe()).then_some(c)
+                })
+                .collect();
+            s.add_node(Sop::from_cubes(cubes));
+        }
+        let signals = s.num_pis() + s.nodes.len();
+        for o in 0..1 + next(3) {
+            let sig = if next(4) == 0 {
+                next(pis as u64) as usize
+            } else {
+                pis + next(nodes as u64) as usize
+            };
+            s.add_output(format!("o{o}"), sig);
+        }
+        assert!(signals > pis);
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn eliminate_matches_reference_on_random_networks(
+            seed in proptest::prelude::any::<u64>(),
+            pis in 1usize..6,
+            nodes in 1usize..12,
+            threshold in 0u64..13,
+            max_cover in 1usize..6,
+        ) {
+            let threshold = threshold as i64 - 3;
+            let mut s = random_sopnet(seed, pis, nodes);
+            let before: Vec<Vec<bool>> = (0..1u64 << pis).map(|m| s.eval_u64(m)).collect();
+            eliminate_like_reference(&mut s, threshold, max_cover, "random");
+            for (m, want) in before.iter().enumerate() {
+                proptest::prop_assert_eq!(&s.eval_u64(m as u64), want, "minterm {}", m);
+            }
+        }
     }
 }
