@@ -46,16 +46,21 @@
 //! use xsynth_bdd::BddManager;
 //!
 //! let mut m = BddManager::new(3);
-//! let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-//! let ab = m.and(a, b);
-//! let f = m.or(ab, c);
-//! let g = m.ite(a, b, c); // a·b + ¬a·c
+//! let (a, b, c) = (m.try_var(0)?, m.try_var(1)?, m.try_var(2)?);
+//! let ab = m.try_and(a, b)?;
+//! let f = m.try_or(ab, c)?;
+//! let g = m.try_ite(a, b, c)?; // a·b + ¬a·c
 //! assert_ne!(f, g);
 //! assert_eq!(m.eval(f, 0b011), true);
 //! // negation is a complement-bit flip: free, and an involution
 //! let nf = m.not(f);
 //! assert_eq!(m.not(nf), f);
+//! # Ok::<(), xsynth_bdd::NodeLimitExceeded>(())
 //! ```
+//!
+//! Every operation that can allocate a node returns
+//! `Result<_, NodeLimitExceeded>`; only a manager with a node cap
+//! ([`BddManager::set_node_limit`]) can actually fail.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,8 +72,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use xsynth_boolean::{Sop, TruthTable, VarSet};
 
-/// Error returned by the `try_` operation forms when an operation would
-/// allocate past the manager's node cap (see
+/// Error returned by the allocating operations when one would allocate
+/// past the manager's node cap (see
 /// [`BddManager::set_node_limit`]).
 ///
 /// The manager is left in a usable state: every handle created before the
@@ -481,40 +486,18 @@ impl BddManager {
         }
     }
 
-    /// Unwraps a `try_` result for the infallible public forms, which are
-    /// only used on managers without a node cap.
-    fn expect_ok<T>(r: Result<T, NodeLimitExceeded>) -> T {
-        r.unwrap_or_else(|e| panic!("{e} (use the try_ operation forms under a node cap)"))
-    }
-
     /// The projection function of variable `var`.
     ///
     /// # Panics
     ///
-    /// Panics if `var >= self.num_vars()`, or if a node cap is set and
-    /// tripped (use [`BddManager::try_var`] under a budget).
-    pub fn var(&mut self, var: usize) -> Bdd {
-        Self::expect_ok(self.try_var(var))
-    }
-
-    /// Fallible form of [`BddManager::var`].
+    /// Panics if `var >= self.num_vars()`, a programming error.
     pub fn try_var(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
         assert!(var < self.shared.n, "variable {var} out of range");
         self.mk(var as u32, Bdd::ZERO, Bdd::ONE)
     }
 
-    /// The complemented projection `¬var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= self.num_vars()`, or if a node cap is set and
-    /// tripped (use [`BddManager::try_nvar`] under a budget).
-    pub fn nvar(&mut self, var: usize) -> Bdd {
-        Self::expect_ok(self.try_nvar(var))
-    }
-
-    /// Fallible form of [`BddManager::nvar`]. Shares the projection's
-    /// node: after `var(v)` this allocates nothing.
+    /// The complemented projection `¬var`. Shares the projection's node:
+    /// after [`BddManager::try_var`] this allocates nothing.
     pub fn try_nvar(&mut self, var: usize) -> Result<Bdd, NodeLimitExceeded> {
         assert!(var < self.shared.n, "variable {var} out of range");
         self.mk(var as u32, Bdd::ONE, Bdd::ZERO)
@@ -701,48 +684,18 @@ impl BddManager {
     }
 
     /// Conjunction.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_and`] under a budget).
-    pub fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.and_rec(f, g))
-    }
-
-    /// Fallible form of [`BddManager::and`].
     pub fn try_and(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.and_rec(f, g)
     }
 
     /// Disjunction, computed by De Morgan over the conjunction — with
-    /// complement edges the negations are free, and `or(f, g)` shares the
-    /// apply-cache entries of `and(¬f, ¬g)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_or`] under a budget).
-    pub fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.try_or(f, g))
-    }
-
-    /// Fallible form of [`BddManager::or`].
+    /// complement edges the negations are free, and `try_or(f, g)` shares
+    /// the apply-cache entries of `try_and(¬f, ¬g)`.
     pub fn try_or(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         Ok(self.and_rec(f.complement(), g.complement())?.complement())
     }
 
     /// Exclusive or.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_xor`] under a budget).
-    pub fn xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        Self::expect_ok(self.xor_rec(f, g))
-    }
-
-    /// Fallible form of [`BddManager::xor`].
     pub fn try_xor(&mut self, f: Bdd, g: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         self.xor_rec(f, g)
     }
@@ -753,23 +706,7 @@ impl BddManager {
         f.complement()
     }
 
-    /// Fallible form of [`BddManager::not`], kept for API symmetry with
-    /// the other operations; with complement edges it is infallible.
-    pub fn try_not(&mut self, f: Bdd) -> Result<Bdd, NodeLimitExceeded> {
-        Ok(f.complement())
-    }
-
     /// If-then-else: `c·t + ¬c·e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_ite`] under a budget).
-    pub fn ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Bdd {
-        Self::expect_ok(self.try_ite(c, t, e))
-    }
-
-    /// Fallible form of [`BddManager::ite`].
     pub fn try_ite(&mut self, c: Bdd, t: Bdd, e: Bdd) -> Result<Bdd, NodeLimitExceeded> {
         let ct = self.try_and(c, t)?;
         let nce = self.try_and(c.complement(), e)?;
@@ -777,16 +714,6 @@ impl BddManager {
     }
 
     /// Cofactor of `f` with `var` fixed to `phase`.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_cofactor`] under a budget).
-    pub fn cofactor(&mut self, f: Bdd, var: usize, phase: bool) -> Bdd {
-        Self::expect_ok(self.try_cofactor(f, var, phase))
-    }
-
-    /// Fallible form of [`BddManager::cofactor`].
     pub fn try_cofactor(
         &mut self,
         f: Bdd,
@@ -968,16 +895,8 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics if the table's arity differs from the manager's, or if a
-    /// node cap is set and tripped (use [`BddManager::try_from_table`]
-    /// under a budget).
-    pub fn from_table(&mut self, t: &TruthTable) -> Bdd {
-        Self::expect_ok(self.try_from_table(t))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`BddManager::from_table`]. Still panics on an
-    /// arity mismatch, which is a programming error.
+    /// Panics if the table's arity differs from the manager's, a
+    /// programming error.
     pub fn try_from_table(&mut self, t: &TruthTable) -> Result<Bdd, NodeLimitExceeded> {
         assert_eq!(t.num_vars(), self.shared.n, "arity mismatch");
         self.from_table_rec(t, 0, 0)
@@ -999,16 +918,6 @@ impl BddManager {
     }
 
     /// Builds a BDD from a sum-of-products cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a node cap is set and tripped (use
-    /// [`BddManager::try_from_sop`] under a budget).
-    pub fn from_sop(&mut self, s: &Sop) -> Bdd {
-        Self::expect_ok(self.try_from_sop(s))
-    }
-
-    /// Fallible form of [`BddManager::from_sop`].
     pub fn try_from_sop(&mut self, s: &Sop) -> Result<Bdd, NodeLimitExceeded> {
         let mut acc = Bdd::ZERO;
         for c in s.cubes() {
@@ -1048,14 +957,7 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics on an arity mismatch, or if `dst` has a node cap and it
-    /// trips (use [`BddManager::try_copy_roots`] under a budget).
-    pub fn copy_roots(&self, roots: &[Bdd], dst: &mut BddManager) -> Vec<Bdd> {
-        Self::expect_ok(self.try_copy_roots(roots, dst))
-    }
-
-    /// Fallible form of [`BddManager::copy_roots`]. Still panics on an
-    /// arity mismatch, which is a programming error.
+    /// Panics on an arity mismatch, a programming error.
     pub fn try_copy_roots(
         &self,
         roots: &[Bdd],
@@ -1127,9 +1029,9 @@ mod tests {
     #[test]
     fn canonical_equality() {
         let mut m = BddManager::new(3);
-        let (a, b) = (m.var(0), m.var(1));
-        let ab = m.and(a, b);
-        let ba = m.and(b, a);
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(1).unwrap());
+        let ab = m.try_and(a, b).unwrap();
+        let ba = m.try_and(b, a).unwrap();
         assert_eq!(ab, ba);
         let na = m.not(a);
         let nna = m.not(na);
@@ -1140,9 +1042,13 @@ mod tests {
     fn complement_edges_share_nodes_and_negation_is_free() {
         let mut m = BddManager::new(4);
         assert_eq!(Bdd::ZERO, Bdd::ONE.complement());
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.xor(ab, c);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let ab = m.try_and(a, b).unwrap();
+        let f = m.try_xor(ab, c).unwrap();
         let before = m.num_nodes();
         // negation allocates nothing: f and ¬f share one stored node
         let nf = m.not(f);
@@ -1151,7 +1057,7 @@ mod tests {
         assert_eq!(m.not(nf), f);
         assert_eq!(m.size(nf), m.size(f), "f and ¬f share the whole DAG");
         // the complemented projection rides the projection's node
-        let na = m.nvar(0);
+        let na = m.try_nvar(0).unwrap();
         assert_eq!(m.num_nodes(), before, "nvar reuses var's node");
         assert_eq!(na, m.not(a));
         assert_eq!(m.canonical_violations(), 0);
@@ -1160,9 +1066,13 @@ mod tests {
     #[test]
     fn shard_occupancy_sums_to_num_nodes() {
         let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let _ = m.xor(ab, c);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let ab = m.try_and(a, b).unwrap();
+        let _ = m.try_xor(ab, c).unwrap();
         let occ = m.shard_occupancy();
         assert_eq!(occ.len(), NUM_SHARDS);
         assert_eq!(occ.iter().sum::<usize>(), m.num_nodes());
@@ -1172,9 +1082,9 @@ mod tests {
     fn stored_then_edges_are_always_regular() {
         let mut m = BddManager::new(5);
         let t = TruthTable::from_fn(5, |v| (v * 31 + 7) % 3 == 0);
-        let f = m.from_table(&t);
+        let f = m.try_from_table(&t).unwrap();
         let g = m.not(f);
-        let x = m.xor(f, g);
+        let x = m.try_xor(f, g).unwrap();
         assert_eq!(x, Bdd::ONE, "f xor ¬f is a tautology");
         assert_eq!(m.canonical_violations(), 0);
     }
@@ -1182,25 +1092,25 @@ mod tests {
     #[test]
     fn demorgan() {
         let mut m = BddManager::new(2);
-        let (a, b) = (m.var(0), m.var(1));
-        let and = m.and(a, b);
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(1).unwrap());
+        let and = m.try_and(a, b).unwrap();
         let nand = m.not(and);
         let (na, nb) = (m.not(a), m.not(b));
-        let or = m.or(na, nb);
+        let or = m.try_or(na, nb).unwrap();
         assert_eq!(nand, or);
     }
 
     #[test]
     fn xor_identities() {
         let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
-        let x = m.xor(a, b);
-        let x2 = m.xor(x, b);
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(1).unwrap());
+        let x = m.try_xor(a, b).unwrap();
+        let x2 = m.try_xor(x, b).unwrap();
         assert_eq!(x2, a);
-        let zero = m.xor(a, a);
+        let zero = m.try_xor(a, a).unwrap();
         assert_eq!(zero, Bdd::ZERO);
         let one = m.constant(true);
-        let nx = m.xor(x, one);
+        let nx = m.try_xor(x, one).unwrap();
         let notx = m.not(x);
         assert_eq!(nx, notx);
     }
@@ -1208,9 +1118,13 @@ mod tests {
     #[test]
     fn eval_matches_semantics() {
         let mut m = BddManager::new(3);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let ab = m.try_and(a, b).unwrap();
+        let f = m.try_or(ab, c).unwrap();
         for mt in 0..8u64 {
             let expect = (mt & 1 != 0 && mt & 2 != 0) || mt & 4 != 0;
             assert_eq!(m.eval(f, mt), expect);
@@ -1226,7 +1140,7 @@ mod tests {
     fn table_roundtrip() {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
         let mut m = BddManager::new(6);
-        let f = m.from_table(&t);
+        let f = m.try_from_table(&t).unwrap();
         assert_eq!(m.to_table(f), t);
         assert_eq!(m.count_sat(f), t.count_ones() as u128);
         // negation inverts the count over the full space
@@ -1243,20 +1157,24 @@ mod tests {
         ]);
         let t = s.to_table(4);
         let mut m = BddManager::new(4);
-        let via_sop = m.from_sop(&s);
-        let via_tab = m.from_table(&t);
+        let via_sop = m.try_from_sop(&s).unwrap();
+        let via_tab = m.try_from_table(&t).unwrap();
         assert_eq!(via_sop, via_tab);
     }
 
     #[test]
     fn cofactor_and_support() {
         let mut m = BddManager::new(3);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let bc = m.and(b, c);
-        let f = m.ite(a, bc, c);
-        let f1 = m.cofactor(f, 0, true);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let bc = m.try_and(b, c).unwrap();
+        let f = m.try_ite(a, bc, c).unwrap();
+        let f1 = m.try_cofactor(f, 0, true).unwrap();
         assert_eq!(f1, bc);
-        let f0 = m.cofactor(f, 0, false);
+        let f0 = m.try_cofactor(f, 0, false).unwrap();
         assert_eq!(f0, c);
         let sup = m.support(f);
         assert_eq!(sup, VarSet::from_vars([0, 1, 2]));
@@ -1264,7 +1182,7 @@ mod tests {
         assert_eq!(m.support(Bdd::ONE), VarSet::new());
         // cofactoring commutes with complement
         let nf = m.not(f);
-        let nf1 = m.cofactor(nf, 0, true);
+        let nf1 = m.try_cofactor(nf, 0, true).unwrap();
         assert_eq!(nf1, m.not(bc));
         assert_eq!(m.support(nf), sup);
     }
@@ -1272,10 +1190,10 @@ mod tests {
     #[test]
     fn sat_fraction_of_var() {
         let mut m = BddManager::new(5);
-        let a = m.var(3);
+        let a = m.try_var(3).unwrap();
         assert_eq!(m.sat_fraction(a), 0.5);
-        let b = m.var(1);
-        let ab = m.and(a, b);
+        let b = m.try_var(1).unwrap();
+        let ab = m.try_and(a, b).unwrap();
         assert_eq!(m.sat_fraction(ab), 0.25);
         assert_eq!(m.count_sat(ab), 8);
         let nab = m.not(ab);
@@ -1291,12 +1209,12 @@ mod tests {
         let mut m = BddManager::new(n);
         let mut carry = Bdd::ZERO;
         for i in 0..8 {
-            let a = m.var(2 * i);
-            let b = m.var(2 * i + 1);
-            let ab = m.and(a, b);
-            let axb = m.xor(a, b);
-            let t = m.and(axb, carry);
-            carry = m.or(ab, t);
+            let a = m.try_var(2 * i).unwrap();
+            let b = m.try_var(2 * i + 1).unwrap();
+            let ab = m.try_and(a, b).unwrap();
+            let axb = m.try_xor(a, b).unwrap();
+            let t = m.try_and(axb, carry).unwrap();
+            carry = m.try_or(ab, t).unwrap();
         }
         assert!(m.size(carry) <= 3 * 8, "adder carry BDD should be linear");
     }
@@ -1304,19 +1222,19 @@ mod tests {
     #[test]
     fn size_counts_shared_nodes_once() {
         let mut m = BddManager::new(2);
-        let a = m.var(0);
+        let a = m.try_var(0).unwrap();
         assert_eq!(m.size(a), 1);
-        let b = m.var(1);
-        let x = m.xor(a, b);
+        let b = m.try_var(1).unwrap();
+        let x = m.try_xor(a, b).unwrap();
         assert_eq!(m.size(x), 2, "xor shares b's node via a complement edge");
     }
 
     #[test]
     fn any_sat_finds_witnesses() {
         let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(3));
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(3).unwrap());
         let nb = m.not(b);
-        let f = m.and(a, nb);
+        let f = m.try_and(a, nb).unwrap();
         let w = m.any_sat(f).expect("satisfiable");
         assert!(w[0] && !w[3]);
         assert!(m.any_sat(Bdd::ZERO).is_none());
@@ -1335,10 +1253,10 @@ mod tests {
     #[test]
     fn cofactor_of_unrelated_var_is_identity() {
         let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
-        let f = m.and(a, b);
-        assert_eq!(m.cofactor(f, 3, true), f);
-        assert_eq!(m.cofactor(f, 3, false), f);
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(1).unwrap());
+        let f = m.try_and(a, b).unwrap();
+        assert_eq!(m.try_cofactor(f, 3, true).unwrap(), f);
+        assert_eq!(m.try_cofactor(f, 3, false).unwrap(), f);
     }
 
     #[test]
@@ -1350,15 +1268,15 @@ mod tests {
         let mut m = BddManager::new(n);
         let mut f = Bdd::ZERO;
         for v in 0..n {
-            let x = m.var(v);
-            f = m.or(f, x);
+            let x = m.try_var(v).unwrap();
+            f = m.try_or(f, x).unwrap();
         }
         assert_eq!(m.count_sat(f), (1u128 << 60) - 1);
         // AND of all 60 variables: exactly one minterm.
         let mut g = Bdd::ONE;
         for v in 0..n {
-            let x = m.var(v);
-            g = m.and(g, x);
+            let x = m.try_var(v).unwrap();
+            g = m.try_and(g, x).unwrap();
         }
         assert_eq!(m.count_sat(g), 1);
         assert_eq!(m.count_sat(Bdd::ONE), 1u128 << 60);
@@ -1371,7 +1289,7 @@ mod tests {
         // the free variables on both sides of the tested one must be
         // accounted for exactly.
         let mut m = BddManager::new(100);
-        let x = m.var(57);
+        let x = m.try_var(57).unwrap();
         assert_eq!(m.count_sat(x), 1u128 << 99);
     }
 
@@ -1389,8 +1307,8 @@ mod tests {
         // and so does negation, which never allocates at all.
         assert_eq!(m.try_and(a, a).unwrap(), a);
         assert_eq!(m.try_or(a, Bdd::ONE).unwrap(), Bdd::ONE);
-        let na = m.try_not(a).unwrap();
-        assert_eq!(m.try_not(na).unwrap(), a);
+        let na = m.not(a);
+        assert_eq!(m.not(na), a);
         // Raising the cap lets the failed operation through.
         m.set_node_limit(Some(64));
         let ab = m.try_and(a, b).unwrap();
@@ -1403,9 +1321,9 @@ mod tests {
     fn reclaim_resets_nodes_and_bumps_generation() {
         let mut m = BddManager::with_node_limit(8, 1 << 20);
         assert_eq!(m.generation(), 0);
-        let a = m.var(0);
-        let b = m.var(1);
-        m.and(a, b);
+        let a = m.try_var(0).unwrap();
+        let b = m.try_var(1).unwrap();
+        m.try_and(a, b).unwrap();
         let grown = m.num_nodes();
         assert!(grown > 1);
         assert!(m.try_reclaim());
@@ -1413,20 +1331,20 @@ mod tests {
         assert_eq!(m.num_nodes(), 1, "only the terminal survives reclamation");
         assert_eq!(m.node_limit(), Some(1 << 20), "cap carries over");
         // the fresh generation is fully usable
-        let a2 = m.var(0);
-        let b2 = m.var(1);
-        assert!(!m.and(a2, b2).is_const());
+        let a2 = m.try_var(0).unwrap();
+        let b2 = m.try_var(1).unwrap();
+        assert!(!m.try_and(a2, b2).unwrap().is_const());
     }
 
     #[test]
     fn reclaim_refused_while_clones_are_alive() {
         let mut m = BddManager::new(4);
         let clone = m.clone();
-        let a = m.var(0);
+        let a = m.try_var(0).unwrap();
         assert!(!m.try_reclaim(), "a live clone pins the substrate");
         assert_eq!(m.generation(), 0);
         // existing handles stay valid because nothing was dropped
-        assert_eq!(m.and(a, Bdd::ONE), a);
+        assert_eq!(m.try_and(a, Bdd::ONE).unwrap(), a);
         drop(clone);
         assert!(m.try_reclaim());
         assert_eq!(m.generation(), 1);
@@ -1443,18 +1361,18 @@ mod tests {
     #[test]
     fn clones_share_one_substrate() {
         let mut m = BddManager::new(4);
-        let (a, b) = (m.var(0), m.var(1));
+        let (a, b) = (m.try_var(0).unwrap(), m.try_var(1).unwrap());
         let before = m.num_nodes();
         // the same function built through a clone allocates nothing new
         // and returns the very same handle
         let mut c = m.clone();
-        let ab = m.and(a, b);
-        assert_eq!(c.and(a, b), ab);
+        let ab = m.try_and(a, b).unwrap();
+        assert_eq!(c.try_and(a, b).unwrap(), ab);
         assert_eq!(m.num_nodes(), before + 1);
         // new structure built in the clone is visible (and canonical) in
         // the original
-        let x = c.xor(a, b);
-        assert_eq!(m.xor(a, b), x);
+        let x = c.try_xor(a, b).unwrap();
+        assert_eq!(m.try_xor(a, b).unwrap(), x);
         assert_eq!(m.num_nodes(), c.num_nodes());
         assert!(m.eval(x, 0b01));
     }
@@ -1480,20 +1398,24 @@ mod tests {
     #[test]
     fn commuted_apply_hits_the_cache() {
         let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
-        let g = m.xor(b, c);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let ab = m.try_and(a, b).unwrap();
+        let f = m.try_or(ab, c).unwrap();
+        let g = m.try_xor(b, c).unwrap();
         // swapped operands must hit the entry the first call populated
-        let and_fg = m.and(f, g);
+        let and_fg = m.try_and(f, g).unwrap();
         let (hits0, misses0) = m.apply_cache_stats();
-        assert_eq!(m.and(g, f), and_fg);
+        assert_eq!(m.try_and(g, f).unwrap(), and_fg);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "swapped and must hit");
         assert_eq!(misses1, misses0, "swapped and must not miss");
-        let xor_fg = m.xor(f, g);
+        let xor_fg = m.try_xor(f, g).unwrap();
         let (hits0, misses0) = m.apply_cache_stats();
-        assert_eq!(m.xor(g, f), xor_fg);
+        assert_eq!(m.try_xor(g, f).unwrap(), xor_fg);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "swapped xor must hit");
         assert_eq!(misses1, misses0, "swapped xor must not miss");
@@ -1502,28 +1424,32 @@ mod tests {
     #[test]
     fn complement_normalized_keys_survive_negation() {
         let mut m = BddManager::new(6);
-        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
-        let ab = m.and(a, b);
-        let f = m.or(ab, c);
-        let g = m.xor(b, c);
+        let (a, b, c) = (
+            m.try_var(0).unwrap(),
+            m.try_var(1).unwrap(),
+            m.try_var(2).unwrap(),
+        );
+        let ab = m.try_and(a, b).unwrap();
+        let f = m.try_or(ab, c).unwrap();
+        let g = m.try_xor(b, c).unwrap();
         // xor keys are complement-stripped: negating either operand (or
         // both) reuses the same cache entry and allocates nothing
-        let x = m.xor(f, g);
+        let x = m.try_xor(f, g).unwrap();
         let nodes0 = m.num_nodes();
         let (hits0, misses0) = m.apply_cache_stats();
         let nf = m.not(f);
         let ng = m.not(g);
-        assert_eq!(m.xor(nf, g), m.not(x));
-        assert_eq!(m.xor(f, ng), m.not(x));
-        assert_eq!(m.xor(nf, ng), x);
+        assert_eq!(m.try_xor(nf, g).unwrap(), m.not(x));
+        assert_eq!(m.try_xor(f, ng).unwrap(), m.not(x));
+        assert_eq!(m.try_xor(nf, ng).unwrap(), x);
         let (hits1, misses1) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 3, "complemented xor operands must hit");
         assert_eq!(misses1, misses0);
         assert_eq!(m.num_nodes(), nodes0, "no new nodes for negated xors");
         // or(f, g) = ¬and(¬f, ¬g): the De Morgan pair shares one entry
-        let o = m.or(f, g);
+        let o = m.try_or(f, g).unwrap();
         let (hits0, _) = m.apply_cache_stats();
-        assert_eq!(m.and(nf, ng), m.not(o));
+        assert_eq!(m.try_and(nf, ng).unwrap(), m.not(o));
         let (hits1, _) = m.apply_cache_stats();
         assert_eq!(hits1, hits0 + 1, "or and its De Morgan and share the cache");
     }
@@ -1532,16 +1458,20 @@ mod tests {
     fn copy_roots_is_garbage_collection_by_copy() {
         let mut scratch = BddManager::new(6);
         // build a function with throwaway intermediates
-        let (a, b, c) = (scratch.var(0), scratch.var(1), scratch.var(2));
-        let ab = scratch.and(a, b);
-        let dead = scratch.xor(ab, c); // never a root
-        let f = scratch.or(ab, c);
+        let (a, b, c) = (
+            scratch.try_var(0).unwrap(),
+            scratch.try_var(1).unwrap(),
+            scratch.try_var(2).unwrap(),
+        );
+        let ab = scratch.try_and(a, b).unwrap();
+        let dead = scratch.try_xor(ab, c).unwrap(); // never a root
+        let f = scratch.try_or(ab, c).unwrap();
         let nf = scratch.not(f);
         let _ = dead;
         let built = scratch.num_nodes();
 
         let mut dst = BddManager::new(6);
-        let copied = scratch.copy_roots(&[f, nf], &mut dst);
+        let copied = scratch.try_copy_roots(&[f, nf], &mut dst).unwrap();
         // dst holds only the live DAG: terminal + reachable nodes of f
         // (¬f shares all of them via its complement bit)
         assert_eq!(dst.num_nodes(), 1 + scratch.size(f), "{built} built");
@@ -1556,16 +1486,20 @@ mod tests {
         assert_eq!(dst.canonical_violations(), 0);
         // copying into the same substrate is the identity
         let mut back = scratch.clone();
-        let same = scratch.copy_roots(&[f, nf], &mut back);
+        let same = scratch.try_copy_roots(&[f, nf], &mut back).unwrap();
         assert_eq!(same, vec![f, nf]);
     }
 
     #[test]
     fn copy_roots_observes_the_destination_cap() {
         let mut scratch = BddManager::new(6);
-        let (a, b, c) = (scratch.var(0), scratch.var(1), scratch.var(2));
-        let ab = scratch.and(a, b);
-        let f = scratch.or(ab, c);
+        let (a, b, c) = (
+            scratch.try_var(0).unwrap(),
+            scratch.try_var(1).unwrap(),
+            scratch.try_var(2).unwrap(),
+        );
+        let ab = scratch.try_and(a, b).unwrap();
+        let f = scratch.try_or(ab, c).unwrap();
         let mut tiny = BddManager::with_node_limit(6, 2);
         assert!(scratch.try_copy_roots(&[f], &mut tiny).is_err());
     }

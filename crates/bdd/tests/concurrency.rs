@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
 
 /// A deterministic little formula family over `n` variables, built only
-/// from `try_` ops so capped managers can run it too: XOR-chains, AND/OR
+/// from fallible ops so capped managers can run it too: XOR-chains, AND/OR
 /// ladders and their negations, selected by `seed`.
 fn build_formula(m: &mut BddManager, n: usize, seed: u64) -> Result<Bdd, NodeLimitExceeded> {
     let mut acc = m.constant(seed & 1 == 0);
@@ -25,7 +25,7 @@ fn build_formula(m: &mut BddManager, n: usize, seed: u64) -> Result<Bdd, NodeLim
             _ => m.try_xor(acc, x)?,
         };
         if (seed >> (v % 31)) & 4 == 4 {
-            acc = m.try_not(acc)?;
+            acc = m.not(acc);
         }
     }
     Ok(acc)
@@ -160,7 +160,7 @@ fn racing_negations_keep_the_stored_node_set_canonical() {
                     let f = build_formula(&mut local, n, seed).expect("uncapped");
                     // negate-heavy traffic: half the threads work on ¬f
                     let g = if t % 2 == 0 { f } else { local.not(f) };
-                    let h = local.xor(g, local.constant(true));
+                    let h = local.try_xor(g, local.constant(true)).unwrap();
                     assert_eq!(h, local.not(g), "xor-with-one is negation");
                 }
             });
@@ -263,25 +263,25 @@ proptest! {
         let g = build_formula(&mut m, n, sb).expect("uncapped");
         let (nf, ng) = (m.not(f), m.not(g));
         // De Morgan, both directions
-        let and_fg = m.and(f, g);
-        let or_nf_ng = m.or(nf, ng);
+        let and_fg = m.try_and(f, g).unwrap();
+        let or_nf_ng = m.try_or(nf, ng).unwrap();
         prop_assert_eq!(m.not(and_fg), or_nf_ng);
-        let or_fg = m.or(f, g);
-        let and_nf_ng = m.and(nf, ng);
+        let or_fg = m.try_or(f, g).unwrap();
+        let and_nf_ng = m.try_and(nf, ng).unwrap();
         prop_assert_eq!(m.not(or_fg), and_nf_ng);
         // ITE via its and/or expansion
-        let ite = m.ite(f, g, ng);
-        let t = m.and(f, g);
-        let e = m.and(nf, ng);
-        prop_assert_eq!(ite, m.or(t, e));
+        let ite = m.try_ite(f, g, ng).unwrap();
+        let t = m.try_and(f, g).unwrap();
+        let e = m.try_and(nf, ng).unwrap();
+        prop_assert_eq!(ite, m.try_or(t, e).unwrap());
         // XOR with ONE is negation; XOR with itself annihilates
-        prop_assert_eq!(m.xor(f, Bdd::ONE), nf);
-        prop_assert_eq!(m.xor(f, f), Bdd::ZERO);
-        prop_assert_eq!(m.xor(f, nf), Bdd::ONE);
+        prop_assert_eq!(m.try_xor(f, Bdd::ONE).unwrap(), nf);
+        prop_assert_eq!(m.try_xor(f, f).unwrap(), Bdd::ZERO);
+        prop_assert_eq!(m.try_xor(f, nf).unwrap(), Bdd::ONE);
         // f · ¬f = 0 and f + ¬f = 1 without allocating
         let before = m.num_nodes();
-        prop_assert_eq!(m.and(f, nf), Bdd::ZERO);
-        prop_assert_eq!(m.or(f, nf), Bdd::ONE);
+        prop_assert_eq!(m.try_and(f, nf).unwrap(), Bdd::ZERO);
+        prop_assert_eq!(m.try_or(f, nf).unwrap(), Bdd::ONE);
         prop_assert_eq!(m.num_nodes(), before);
         prop_assert_eq!(m.canonical_violations(), 0);
     }

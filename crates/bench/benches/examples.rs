@@ -5,7 +5,7 @@
 //! * Example 2 (z4ml): the 3-bit adder with carry-in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xsynth_core::{synthesize, SynthOptions};
+use xsynth_core::Engine;
 use xsynth_map::{map_network, Library};
 use xsynth_sop::{script_algebraic, ScriptOptions};
 
@@ -14,12 +14,12 @@ fn bench_example1_t481(c: &mut Criterion) {
     let mut group = c.benchmark_group("example1_t481");
     group.sample_size(10);
     group.bench_function("fprm_flow", |b| {
-        b.iter(|| synthesize(&spec, &SynthOptions::default()))
+        b.iter(|| Engine::new().try_synthesize(&spec).unwrap())
     });
     group.bench_function("sop_baseline", |b| {
         b.iter(|| script_algebraic(&spec, &ScriptOptions::default()))
     });
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = Engine::new().try_synthesize(&spec).unwrap().network;
     let lib = Library::mcnc();
     group.bench_function("tech_map", |b| b.iter(|| map_network(&out, &lib)));
     group.finish();
@@ -30,7 +30,7 @@ fn bench_example2_z4ml(c: &mut Criterion) {
     let mut group = c.benchmark_group("example2_z4ml");
     group.sample_size(20);
     group.bench_function("fprm_flow", |b| {
-        b.iter(|| synthesize(&spec, &SynthOptions::default()))
+        b.iter(|| Engine::new().try_synthesize(&spec).unwrap())
     });
     group.bench_function("sop_baseline", |b| {
         b.iter(|| script_algebraic(&spec, &ScriptOptions::default()))

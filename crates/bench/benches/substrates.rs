@@ -21,16 +21,16 @@ fn bench_substrates(c: &mut Criterion) {
     c.bench_function("bdd_from_table_12var", |b| {
         b.iter(|| {
             let mut bm = BddManager::new(12);
-            bm.from_table(&t)
+            bm.try_from_table(&t)
         })
     });
 
     c.bench_function("ofdd_from_bdd_12var", |b| {
         let mut bm = BddManager::new(12);
-        let f = bm.from_table(&t);
+        let f = bm.try_from_table(&t).unwrap();
         b.iter(|| {
             let mut om = OfddManager::new(Polarity::all_positive(12));
-            om.from_bdd(&mut bm, f)
+            om.try_from_bdd(&mut bm, f)
         })
     });
 

@@ -5,7 +5,8 @@
 //!
 //! Usage: `flow_report [--runs N] <circuit> [...]`
 
-use xsynth_bench::{measure_flow, Flow, MeasureOptions};
+use xsynth_bench::{measure_flow, MeasureOptions};
+use xsynth_core::Flow;
 use xsynth_map::Library;
 
 fn main() {
@@ -38,7 +39,10 @@ fn main() {
             eprintln!("unknown circuit {name}");
             continue;
         };
-        let m = measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &opts);
+        let m = measure_flow(&name, &spec, Flow::Fprm, &lib, &opts).unwrap_or_else(|e| {
+            eprintln!("error: {name}: {e}");
+            std::process::exit(e.exit_code())
+        });
         let report = m.flow.report.as_ref().expect("FPRM flow carries a report");
         println!("{name}: {spec}");
         for (oname, cubes, pol) in &report.outputs {

@@ -8,8 +8,8 @@
 //! matters most. `--json FILE` persists both flows' records (`fprm` and
 //! `fprm-seq`) as a telemetry suite.
 
-use xsynth_bench::{measure_flow, BenchSuite, Flow, MeasureOptions};
-use xsynth_core::SynthOptions;
+use xsynth_bench::{measure_flow, BenchSuite, MeasureOptions};
+use xsynth_core::{Flow, SynthOptions};
 use xsynth_map::Library;
 
 fn main() {
@@ -66,8 +66,15 @@ fn main() {
             eprintln!("unknown circuit {name}");
             continue;
         };
-        let seq = measure_flow(&name, &spec, Flow::Fprm, "fprm-seq", &lib, &seq_opts);
-        let par = measure_flow(&name, &spec, Flow::Fprm, "fprm", &lib, &par_opts);
+        let measure = |opts: &MeasureOptions| {
+            measure_flow(&name, &spec, Flow::Fprm, &lib, opts).unwrap_or_else(|e| {
+                eprintln!("error: {name}: {e}");
+                std::process::exit(e.exit_code())
+            })
+        };
+        let mut seq = measure(&seq_opts);
+        let par = measure(&par_opts);
+        seq.record.flow = "fprm-seq".to_string();
         let seq_ms = seq.record.median_seconds * 1e3;
         let par_ms = par.record.median_seconds * 1e3;
         let same = xsynth_blif::write_blif(&seq.network) == xsynth_blif::write_blif(&par.network);

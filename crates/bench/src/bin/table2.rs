@@ -59,7 +59,11 @@ fn main() {
     } else {
         Some(circuits.iter().map(String::as_str).collect())
     };
-    let (rows, suite) = xsynth_bench::run_suite(filter.as_deref(), "table2", &opts);
+    let (rows, suite) =
+        xsynth_bench::run_suite(filter.as_deref(), "table2", &opts).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(e.exit_code())
+        });
     print!("{}", xsynth_bench::render_table2(&rows));
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, suite.to_json()) {

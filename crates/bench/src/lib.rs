@@ -26,13 +26,10 @@ pub mod telemetry;
 
 use std::time::Instant;
 use xsynth_circuits::{registry, Benchmark};
-use xsynth_core::{
-    phase, synthesize, Budget, EquivChecker, SynthOptions, SynthOutcome, SynthReport,
-};
+use xsynth_core::{phase, Budget, Engine, EquivChecker, Error, Flow, SynthOptions, SynthReport};
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
 use xsynth_sim::power_estimate;
-use xsynth_sop::{script_algebraic, ScriptOptions};
 
 pub use telemetry::{BenchRecord, BenchSuite, VerifyStatus, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 
@@ -124,24 +121,13 @@ fn evaluate(
     }
 }
 
-/// Which flow [`measure_flow`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// The paper's FPRM pipeline ([`xsynth_core::synthesize`]).
-    Fprm,
-    /// The SIS-style SOP baseline ([`xsynth_sop::script_algebraic`]).
-    Sop,
-}
-
 /// Options for the shared measurement path.
 #[derive(Debug, Clone)]
 pub struct MeasureOptions {
     /// Timed synthesis repetitions (median/min are taken over these).
     pub runs: usize,
-    /// FPRM flow options.
+    /// Options of the engine the FPRM-family flows run on.
     pub synth: SynthOptions,
-    /// SOP baseline options.
-    pub script: ScriptOptions,
     /// Verification budget (see [`VERIFY_NODE_CAP`]).
     pub verify_budget: Budget,
 }
@@ -151,7 +137,6 @@ impl Default for MeasureOptions {
         MeasureOptions {
             runs: 1,
             synth: SynthOptions::default(),
-            script: ScriptOptions::default(),
             verify_budget: Budget::default().bdd_node_cap(Some(VERIFY_NODE_CAP)),
         }
     }
@@ -169,19 +154,23 @@ pub struct Measured {
     pub network: Network,
 }
 
-/// The shared measurement path: synthesizes `spec` `opts.runs` times
-/// (keeping the last result — all runs are deterministic), evaluates it
-/// once, and assembles the [`BenchRecord`] with median/min wall-clock,
-/// per-phase durations, counter totals, trace gauge maxima, and the
-/// process peak-RSS gauge.
+/// The shared measurement path: runs `flow` on `spec` `opts.runs` times,
+/// each on a fresh [`Engine`] so every run is cold (keeping the last
+/// result — all runs are deterministic), evaluates it once, and assembles
+/// the [`BenchRecord`], labelled with [`Flow::name`], with median/min
+/// wall-clock, per-phase durations, counter totals, trace gauge maxima,
+/// and the process peak-RSS gauge.
+///
+/// # Errors
+///
+/// The first run's synthesis error (see [`Engine::try_synthesize`]).
 pub fn measure_flow(
     name: &str,
     spec: &Network,
     flow: Flow,
-    flow_label: &str,
     lib: &Library,
     opts: &MeasureOptions,
-) -> Measured {
+) -> Result<Measured, Error> {
     let runs = opts.runs.max(1);
     // Scope the peak-RSS gauge to this measurement. The scope guard is the
     // daemon-safe form of the old process-wide reset: the outermost live
@@ -193,27 +182,21 @@ pub fn measure_flow(
     let mut last: Option<(Network, Option<SynthReport>)> = None;
     for _ in 0..runs {
         let t0 = Instant::now();
-        let (network, report) = match flow {
-            Flow::Fprm => {
-                let SynthOutcome { network, report } = synthesize(spec, &opts.synth);
-                (network, Some(report))
-            }
-            Flow::Sop => (script_algebraic(spec, &opts.script), None),
-        };
+        let result = flow.run(&Engine::with_options(opts.synth.clone()), spec)?;
         times.push(t0.elapsed().as_secs_f64());
-        last = Some((network, report));
+        last = Some(result);
     }
     let (network, report) = last.expect("runs >= 1");
-    record_from_run(
+    Ok(record_from_run(
         name,
-        flow_label,
+        flow.name(),
         spec,
         network,
         report,
         &times,
         lib,
         &opts.verify_budget,
-    )
+    ))
 }
 
 /// Assembles a [`Measured`] from an already-synthesized network — the
@@ -309,24 +292,6 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs the paper's FPRM flow on `spec` and evaluates it.
-pub fn run_fprm_flow(spec: &Network, opts: &SynthOptions, lib: &Library) -> FlowResult {
-    let m_opts = MeasureOptions {
-        synth: opts.clone(),
-        ..Default::default()
-    };
-    measure_flow("adhoc", spec, Flow::Fprm, "fprm", lib, &m_opts).flow
-}
-
-/// Runs the SIS-style SOP baseline on `spec` and evaluates it.
-pub fn run_sop_flow(spec: &Network, opts: &ScriptOptions, lib: &Library) -> FlowResult {
-    let m_opts = MeasureOptions {
-        script: opts.clone(),
-        ..Default::default()
-    };
-    measure_flow("adhoc", spec, Flow::Sop, "sop", lib, &m_opts).flow
-}
-
 /// Renders a one-line phase-timing breakdown from a flow's report:
 /// `fprm/factor/share/redund` milliseconds, plus the polarity-search
 /// counters. Returns `None` when the flow carries no report.
@@ -380,11 +345,15 @@ fn percent(base: f64, ours: f64) -> f64 {
 /// Runs both flows over the registry (optionally restricted to names in
 /// `filter`), returning the human-facing rows *and* the telemetry suite
 /// from the same measurements.
+///
+/// # Errors
+///
+/// The first synthesis error of any row (see [`measure_flow`]).
 pub fn run_suite(
     filter: Option<&[&str]>,
     suite_label: &str,
     opts: &MeasureOptions,
-) -> (Vec<Table2Row>, BenchSuite) {
+) -> Result<(Vec<Table2Row>, BenchSuite), Error> {
     let lib = Library::mcnc();
     let mut rows = Vec::new();
     let mut records = Vec::new();
@@ -395,8 +364,8 @@ pub fn run_suite(
             }
         }
         let spec = xsynth_circuits::build(bench.name).expect("registered circuit builds");
-        let sop = measure_flow(bench.name, &spec, Flow::Sop, "sop", &lib, opts);
-        let fprm = measure_flow(bench.name, &spec, Flow::Fprm, "fprm", &lib, opts);
+        let sop = measure_flow(bench.name, &spec, Flow::Sop, &lib, opts)?;
+        let fprm = measure_flow(bench.name, &spec, Flow::Fprm, &lib, opts)?;
         records.push(sop.record);
         records.push(fprm.record);
         rows.push(Table2Row {
@@ -405,19 +374,23 @@ pub fn run_suite(
             fprm: fprm.flow,
         });
     }
-    (
+    Ok((
         rows,
         BenchSuite {
             suite: suite_label.to_string(),
             records,
         },
-    )
+    ))
 }
 
 /// Runs the full Table 2 experiment over the registry (optionally
 /// restricted to names in `filter`).
-pub fn run_table2(filter: Option<&[&str]>) -> Vec<Table2Row> {
-    run_suite(filter, "table2", &MeasureOptions::default()).0
+///
+/// # Errors
+///
+/// As [`run_suite`].
+pub fn run_table2(filter: Option<&[&str]>) -> Result<Vec<Table2Row>, Error> {
+    Ok(run_suite(filter, "table2", &MeasureOptions::default())?.0)
 }
 
 /// Renders rows in the paper's Table 2 layout, with subtotals and the
@@ -515,7 +488,7 @@ mod tests {
 
     #[test]
     fn harness_runs_small_circuits() {
-        let rows = run_table2(Some(&["z4ml", "f2", "majority"]));
+        let rows = run_table2(Some(&["z4ml", "f2", "majority"])).unwrap();
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert_eq!(
@@ -540,7 +513,7 @@ mod tests {
 
     #[test]
     fn t481_fprm_flow_crushes_baseline() {
-        let rows = run_table2(Some(&["t481"]));
+        let rows = run_table2(Some(&["t481"])).unwrap();
         let r = &rows[0];
         assert!(r.fprm.verified.passed());
         // the paper reports 50 premap literals for t481; anything in that
@@ -560,7 +533,7 @@ mod tests {
             runs: 3,
             ..Default::default()
         };
-        let m = measure_flow("z4ml", &spec, Flow::Fprm, "fprm", &lib, &opts);
+        let m = measure_flow("z4ml", &spec, Flow::Fprm, &lib, &opts).unwrap();
         let r = &m.record;
         assert_eq!(
             (r.name.as_str(), r.flow.as_str(), r.runs),
@@ -578,7 +551,7 @@ mod tests {
         #[cfg(target_os = "linux")]
         assert!(r.gauges["mem.peak_rss_kb"] > 0.0);
         // SOP flow has no pipeline trace but still gets the memory gauge
-        let m = measure_flow("z4ml", &spec, Flow::Sop, "sop", &lib, &opts);
+        let m = measure_flow("z4ml", &spec, Flow::Sop, &lib, &opts).unwrap();
         assert!(m.record.phases.is_empty());
         #[cfg(target_os = "linux")]
         assert!(m.record.gauges.contains_key("mem.peak_rss_kb"));
@@ -600,7 +573,8 @@ mod tests {
             Some(&["f2", "majority"]),
             "test",
             &MeasureOptions::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(suite.records.len(), 4);
         assert!(suite.find("f2", "sop").is_some());

@@ -10,9 +10,9 @@
 //! redundancy — exact, no aborts (within the BDD size limits of the
 //! benchmark family).
 
-use crate::verify::network_bdds;
+use crate::verify::{gate_bdd, try_network_bdds, UNCAPPED};
 use xsynth_bdd::{Bdd, BddManager};
-use xsynth_net::{GateKind, Network, NodeKind};
+use xsynth_net::{Network, NodeKind};
 use xsynth_sim::fault::{Fault, FaultSite};
 use xsynth_sim::{fault_simulate, Pattern};
 
@@ -41,8 +41,7 @@ fn faulty_bdds(net: &Network, bm: &mut BddManager, fault: Fault) -> Vec<Bdd> {
     let stuck = bm.constant(fault.stuck_at);
     let mut val: Vec<Option<Bdd>> = vec![None; net.num_nodes()];
     for (i, &id) in net.inputs().iter().enumerate() {
-        let v = bm.var(i);
-        val[id.index()] = Some(v);
+        val[id.index()] = Some(bm.try_var(i).expect(UNCAPPED));
     }
     if let FaultSite::Output(s) = fault.site {
         if matches!(net.kind(s), NodeKind::Input) {
@@ -65,7 +64,7 @@ fn faulty_bdds(net: &Network, bm: &mut BddManager, fault: Fault) -> Vec<Bdd> {
                 }
             })
             .collect();
-        let b = eval_gate_bdd(bm, *kind, &fan);
+        let b = gate_bdd(bm, *kind, &fan).expect(UNCAPPED);
         val[id.index()] = Some(if fault.site == FaultSite::Output(id) {
             stuck
         } else {
@@ -78,43 +77,18 @@ fn faulty_bdds(net: &Network, bm: &mut BddManager, fault: Fault) -> Vec<Bdd> {
         .collect()
 }
 
-fn eval_gate_bdd(bm: &mut BddManager, kind: GateKind, fan: &[Bdd]) -> Bdd {
-    use GateKind::*;
-    match kind {
-        Const0 => Bdd::ZERO,
-        Const1 => Bdd::ONE,
-        Buf => fan[0],
-        Not => bm.not(fan[0]),
-        And => fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x)),
-        Nand => {
-            let t = fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x));
-            bm.not(t)
-        }
-        Or => fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x)),
-        Nor => {
-            let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x));
-            bm.not(t)
-        }
-        Xor => fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x)),
-        Xnor => {
-            let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x));
-            bm.not(t)
-        }
-    }
-}
-
 /// Generates a test for one fault: any input assignment on which some
 /// output of the faulty network differs from the good one, or `None` when
 /// the fault is provably redundant.
 pub fn generate_test(net: &Network, fault: Fault) -> Option<Pattern> {
     let n = net.inputs().len();
     let mut bm = BddManager::new(n);
-    let good = network_bdds(net, &mut bm);
+    let good = try_network_bdds(net, &mut bm).unwrap_or_else(|e| panic!("{e}"));
     let bad = faulty_bdds(net, &mut bm, fault);
     let mut diff = Bdd::ZERO;
     for (&g, &b) in good.iter().zip(bad.iter()) {
-        let x = bm.xor(g, b);
-        diff = bm.or(diff, x);
+        let x = bm.try_xor(g, b).expect(UNCAPPED);
+        diff = bm.try_or(diff, x).expect(UNCAPPED);
     }
     bm.any_sat(diff)
 }
@@ -150,7 +124,8 @@ pub fn generate_tests(net: &Network, faults: &[Fault]) -> AtpgResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_sim::{enumerate_faults, exhaustive_patterns};
+    use xsynth_net::GateKind;
+    use xsynth_sim::{enumerate_faults, try_exhaustive_patterns};
 
     fn xor_as_aoi() -> Network {
         let mut n = Network::new("xor_aoi");
@@ -209,7 +184,7 @@ mod tests {
         // and vice versa
         let net = xor_as_aoi();
         let faults = enumerate_faults(&net);
-        let exhaustive = fault_simulate(&net, &exhaustive_patterns(2), &faults);
+        let exhaustive = fault_simulate(&net, &try_exhaustive_patterns(2).unwrap(), &faults);
         for &f in &faults {
             let atpg_testable = generate_test(&net, f).is_some();
             let sim_testable = !exhaustive.undetected.contains(&f);
@@ -233,7 +208,7 @@ mod tests {
     #[test]
     fn synthesized_benchmark_gets_compact_complete_set() {
         let spec = xsynth_circuits_stub();
-        let out = crate::synthesize(&spec, &crate::SynthOptions::default()).network;
+        let out = crate::Engine::new().try_synthesize(&spec).unwrap().network;
         let faults = enumerate_faults(&out);
         let result = generate_tests(&out, &faults);
         let rep = fault_simulate(&out, &result.tests, &faults);

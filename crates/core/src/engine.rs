@@ -3,12 +3,12 @@
 //! [`Engine`] is the primary entry point of the crate: a handle that owns
 //! the pieces worth keeping warm across calls — the content-addressed
 //! result cache ([`xsynth_cache::ResultCache`]), a pool of BDD substrates
-//! keyed by arity, and the default [`SynthOptions`]. The free functions
-//! [`crate::synthesize`] / [`crate::try_synthesize`] are thin one-shot
-//! wrappers over a throwaway engine, so their behavior is unchanged; a
-//! daemon constructs one engine and routes every job through it, which is
-//! what lets duplicate and near-duplicate traffic skip the polarity
-//! descent via cache hits.
+//! keyed by arity, and the default [`SynthOptions`]. A one-shot run builds
+//! a throwaway engine (`Engine::with_options(opts).try_synthesize(&spec)`),
+//! whose cache and pool start empty and drop with it, so repeated runs
+//! behave identically; a daemon constructs one engine and routes every job
+//! through it, which is what lets duplicate and near-duplicate traffic skip
+//! the polarity descent via cache hits.
 //!
 //! # Cache tiers
 //!
@@ -29,7 +29,7 @@
 use crate::budget::Budget;
 use crate::error::Error;
 use crate::expr::Gexpr;
-use crate::factor::factor_cubes_traced;
+use crate::factor::factor_cubes;
 use crate::synth::{SynthOptions, SynthOutcome};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,8 +40,9 @@ use xsynth_cache::{cubes_key, CacheEntry, CacheStats, Cone, FactoredExpr, Result
 use xsynth_net::Network;
 use xsynth_trace::TraceBuffer;
 
-/// Substrate node count past which [`Engine::checkin`] attempts a
-/// generational reclamation before pooling the manager for reuse.
+/// Substrate node count past which an [`Engine`] attempts a generational
+/// reclamation of a job's BDD manager before pooling it for reuse (see
+/// [`Engine::reclaim_watermark`]).
 pub const DEFAULT_RECLAIM_NODE_WATERMARK: usize = 1 << 20;
 
 /// A long-lived synthesis handle owning the BDD substrate pool, the
@@ -194,9 +195,16 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// Synthesizes `spec` under the engine's default options, consulting
-    /// and populating the shared cache. See [`crate::try_synthesize`] for
-    /// the error contract.
+    /// Synthesizes `spec` with the paper's FPRM flow under the engine's
+    /// default options, consulting and populating the shared cache.
+    ///
+    /// A tripped [`Budget`] surfaces as [`Error::Budget`] (when no degraded
+    /// result was possible), a failed final verification as
+    /// [`Error::Verify`], and a fault the salvage ladder could not recover
+    /// as [`Error::OutputFailed`]. Phases that degraded gracefully under
+    /// the budget are listed in [`crate::SynthReport::curtailed`]; the
+    /// returned network is always verified against the specification
+    /// (exactly via BDDs up to 40 inputs, statistically beyond).
     pub fn try_synthesize(&self, spec: &Network) -> Result<SynthOutcome, Error> {
         crate::synth::try_synthesize_on(self, spec, &self.options)
     }
@@ -342,7 +350,8 @@ impl Engine {
         );
     }
 
-    /// [`factor_cubes_traced`] behind the factored-tier memo. Factoring is
+    /// [`factor_cubes`] behind the factored-tier memo, traced as the
+    /// pipeline's `factor_cubes` span on a miss. Factoring is
     /// a pure function of `(cubes, apply_rules)`, so a hit returns exactly
     /// the expression a recomputation would — callers keep bit-identical
     /// results either way. `hits`/`misses` are the caller's per-job
@@ -365,7 +374,11 @@ impl Engine {
             return from_cached_expr(&fx);
         }
         *misses += 1;
-        let expr = factor_cubes_traced(cubes, apply_rules, buf);
+        let expr = buf.span("factor_cubes", |buf| {
+            buf.count("factor.calls", 1);
+            buf.count("factor.cubes", cubes.len() as u64);
+            factor_cubes(cubes, apply_rules)
+        });
         self.cache.put(
             Tier::Factored,
             key,
@@ -477,8 +490,8 @@ mod tests {
     #[test]
     fn one_shot_wrappers_start_cold_every_time() {
         let spec = adder_bit("fa");
-        let first = crate::try_synthesize(&spec, &SynthOptions::default()).unwrap();
-        let second = crate::try_synthesize(&spec, &SynthOptions::default()).unwrap();
+        let first = Engine::new().try_synthesize(&spec).unwrap();
+        let second = Engine::new().try_synthesize(&spec).unwrap();
         assert_eq!(second.report.cache.polarity_hits, 0);
         assert_eq!(
             xsynth_blif::write_blif(&first.network),
@@ -506,9 +519,9 @@ mod tests {
     fn pooled_substrate_is_reused_and_reclaimed_past_watermark() {
         let engine = Engine::new().reclaim_watermark(8);
         let mut bm = engine.checkout(4, &Budget::default());
-        let a = bm.var(0);
-        let b = bm.var(1);
-        bm.and(a, b);
+        let a = bm.try_var(0).unwrap();
+        let b = bm.try_var(1).unwrap();
+        bm.try_and(a, b).unwrap();
         let grown = bm.num_nodes();
         assert!(grown > 1 && grown <= 8);
         engine.checkin(bm);
@@ -519,11 +532,11 @@ mod tests {
         engine.checkin(bm);
         // grow past the watermark: checkin reclaims to a fresh generation
         let mut bm = engine.checkout(4, &Budget::default());
-        let c = bm.var(2);
-        let d = bm.var(3);
-        let cd = bm.and(c, d);
-        bm.xor(cd, a);
-        bm.or(cd, a);
+        let c = bm.try_var(2).unwrap();
+        let d = bm.try_var(3).unwrap();
+        let cd = bm.try_and(c, d).unwrap();
+        bm.try_xor(cd, a).unwrap();
+        bm.try_or(cd, a).unwrap();
         assert!(bm.num_nodes() > 8);
         engine.checkin(bm);
         let bm = engine.checkout(4, &Budget::default());
@@ -537,10 +550,10 @@ mod tests {
         let engine = Engine::new().reclaim_watermark(4);
         let mut bm = engine.checkout(4, &Budget::default());
         let pin = bm.clone(); // a live clone makes try_reclaim refuse
-        let a = bm.var(0);
-        let b = bm.var(1);
-        let ab = bm.and(a, b);
-        bm.xor(ab, a);
+        let a = bm.try_var(0).unwrap();
+        let b = bm.try_var(1).unwrap();
+        let ab = bm.try_and(a, b).unwrap();
+        bm.try_xor(ab, a).unwrap();
         assert!(bm.num_nodes() > 4, "must be past the watermark");
         assert_eq!(engine.reclaim_refused(), 0);
         engine.checkin(bm);

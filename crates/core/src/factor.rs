@@ -17,7 +17,6 @@ use std::collections::HashMap;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_ofdd::{Ofdd, OfddManager};
-use xsynth_trace::TraceBuffer;
 
 /// Factors an FPRM cube list into a [`Gexpr`] (the cube method).
 ///
@@ -42,17 +41,6 @@ pub fn factor_cubes(cubes: &[VarSet], apply_rules: bool) -> Gexpr {
     } else {
         body
     }
-}
-
-/// [`factor_cubes`] recording into a trace buffer: runs inside a
-/// `factor_cubes` span counting the cubes factored (`factor.cubes`) and
-/// the calls made (`factor.calls`).
-pub fn factor_cubes_traced(cubes: &[VarSet], apply_rules: bool, buf: &mut TraceBuffer) -> Gexpr {
-    buf.span("factor_cubes", |buf| {
-        buf.count("factor.calls", 1);
-        buf.count("factor.cubes", cubes.len() as u64);
-        factor_cubes(cubes, apply_rules)
-    })
 }
 
 /// Step 2: partitions cubes into groups with pairwise-disjoint support.

@@ -16,12 +16,17 @@
 //!    to OR/AND ([`remove_redundancy`], Properties 1–7), with every
 //!    rewrite verified against the specification ([`EquivChecker`]).
 //!
-//! The entry point is [`synthesize`].
+//! The entry point is [`Engine::try_synthesize`] (or
+//! [`Engine::try_synthesize_with`] for per-call options); [`Flow`] names
+//! the runnable flows — the FPRM flow, its method variants and the SOP
+//! baseline — for the CLI, the benchmark harness and the daemon. Every
+//! operation has exactly one public entry point, and it returns a
+//! `Result` wherever it can fail.
 //!
 //! # Examples
 //!
 //! ```
-//! use xsynth_core::{synthesize, SynthOptions};
+//! use xsynth_core::Engine;
 //! use xsynth_net::{GateKind, Network};
 //!
 //! // carry = ab ⊕ (a⊕b)c — redundancy removal turns the outer XOR into OR
@@ -34,10 +39,11 @@
 //! let t = spec.add_gate(GateKind::And, vec![axb, c]);
 //! let cout = spec.add_gate(GateKind::Or, vec![ab, t]);
 //! spec.add_output("cout", cout);
-//! let outcome = synthesize(&spec, &SynthOptions::default());
+//! let outcome = Engine::new().try_synthesize(&spec)?;
 //! for m in 0..8 {
 //!     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
 //! }
+//! # Ok::<(), xsynth_core::Error>(())
 //! ```
 //!
 //! Every run is traced — `outcome.report.trace` holds the structured span
@@ -53,6 +59,7 @@ mod engine;
 mod error;
 mod expr;
 mod factor;
+mod flow;
 pub mod gfx;
 mod patterns;
 pub mod power;
@@ -64,21 +71,17 @@ pub use budget::{Budget, BudgetExceeded, Resource};
 pub use engine::{Engine, SubstrateStats, DEFAULT_RECLAIM_NODE_WATERMARK};
 pub use error::Error;
 pub use expr::Gexpr;
-pub use factor::{
-    disjoint_groups, factor_cubes, factor_cubes_traced, literal_supplier, ofdd_to_network,
-};
+pub use factor::{disjoint_groups, factor_cubes, literal_supplier, ofdd_to_network};
+pub use flow::Flow;
 pub use patterns::{
     literal_mask_to_pattern, merge_patterns, paper_patterns, Pattern, PatternOptions,
 };
-pub use redundancy::{
-    remove_redundancy, remove_redundancy_governed, remove_redundancy_traced, RedundancyStats,
-};
+pub use redundancy::{remove_redundancy, RedundancyStats};
 pub use synth::{
-    phase, synthesize, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile,
-    PhaseStat, PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder,
-    SynthOutcome, SynthReport,
+    phase, CacheUse, FactorMethod, Granularity, PhaseProfile, PhaseStat, PolarityMode,
+    SalvageRecord, SalvageRung, SynthOptions, SynthOptionsBuilder, SynthOutcome, SynthReport,
 };
-pub use verify::{network_bdds, try_network_bdds, try_network_bdds_compact, EquivChecker};
+pub use verify::{try_network_bdds, EquivChecker};
 pub use xsynth_ofdd::PolaritySearchStats;
 
 /// The one-line import for typical users of the synthesis stack.
@@ -95,17 +98,19 @@ pub use xsynth_ofdd::PolaritySearchStats;
 /// let g = spec.add_gate(GateKind::Xor, vec![a, b]);
 /// spec.add_output("f", g);
 /// let opts = SynthOptions::builder().parallel(false).build();
-/// let SynthOutcome { network, report } = synthesize(&spec, &opts);
+/// let SynthOutcome { network, report } = Engine::with_options(opts).try_synthesize(&spec)?;
 /// assert_eq!(network.eval_u64(1), spec.eval_u64(1));
 /// assert!(!report.outputs.is_empty());
+/// # Ok::<(), Error>(())
 /// ```
 pub mod prelude {
     pub use crate::budget::{Budget, BudgetExceeded};
     pub use crate::engine::Engine;
     pub use crate::error::Error;
+    pub use crate::flow::Flow;
     pub use crate::synth::{
-        phase, synthesize, try_synthesize, CacheUse, FactorMethod, Granularity, PhaseProfile,
-        PolarityMode, SalvageRecord, SalvageRung, SynthOptions, SynthOutcome, SynthReport,
+        phase, CacheUse, FactorMethod, Granularity, PhaseProfile, PolarityMode, SalvageRecord,
+        SalvageRung, SynthOptions, SynthOutcome, SynthReport,
     };
     pub use xsynth_cache::{CacheStats, ResultCache};
     pub use xsynth_trace::{Trace, TraceBuffer, TraceSink};

@@ -8,6 +8,7 @@
 //! model at full precision, useful for the paper's `improve%power` column
 //! on the wide circuits.
 
+use crate::verify::{gate_bdd, UNCAPPED};
 use std::collections::HashMap;
 use xsynth_bdd::{Bdd, BddManager};
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
@@ -20,37 +21,14 @@ pub fn power_estimate_exact(net: &Network) -> f64 {
     let mut bm = BddManager::new(n);
     let mut val: HashMap<SignalId, Bdd> = HashMap::new();
     for (i, &id) in net.inputs().iter().enumerate() {
-        let v = bm.var(i);
-        val.insert(id, v);
+        val.insert(id, bm.try_var(i).expect(UNCAPPED));
     }
     for id in net.topo_order() {
         let NodeKind::Gate(kind) = net.kind(id) else {
             continue;
         };
-        use GateKind::*;
         let fan: Vec<Bdd> = net.fanins(id).iter().map(|f| val[f]).collect();
-        let b = match kind {
-            Const0 => Bdd::ZERO,
-            Const1 => Bdd::ONE,
-            Buf => fan[0],
-            Not => bm.not(fan[0]),
-            And => fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x)),
-            Nand => {
-                let t = fan.iter().fold(Bdd::ONE, |a, &x| bm.and(a, x));
-                bm.not(t)
-            }
-            Or => fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x)),
-            Nor => {
-                let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.or(a, x));
-                bm.not(t)
-            }
-            Xor => fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x)),
-            Xnor => {
-                let t = fan.iter().fold(Bdd::ZERO, |a, &x| bm.xor(a, x));
-                bm.not(t)
-            }
-        };
-        val.insert(id, b);
+        val.insert(id, gate_bdd(&mut bm, *kind, &fan).expect(UNCAPPED));
     }
 
     let fanouts = net.fanouts();

@@ -28,12 +28,11 @@
 //! [`RedundancyStats`] report how often that safety net fired (on the
 //! paper's benchmark family: essentially never).
 
-use crate::patterns::Pattern;
 use crate::verify::EquivChecker;
 use std::time::Instant;
 use xsynth_net::{GateKind, Network, NodeKind, SignalId};
-use xsynth_sim::{pack_patterns, PatternBlock};
-use xsynth_trace::{TraceBuffer, TraceSink};
+use xsynth_sim::PatternBlock;
+use xsynth_trace::TraceBuffer;
 
 /// Counters describing what the redundancy pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -227,54 +226,24 @@ fn wire_fault_testable(
 /// with the supplied pattern set and guarding every rewrite with
 /// `checker`. Returns the cleaned network and the pass statistics.
 ///
-/// # Panics
-///
-/// Panics if `patterns` is empty (at least the AZ/AO pair is required).
-pub fn remove_redundancy(
-    net: &Network,
-    patterns: &[Pattern],
-    checker: &mut EquivChecker,
-    max_passes: usize,
-) -> (Network, RedundancyStats) {
-    let sink = TraceSink::new();
-    let mut buf = sink.buffer(0, "redundancy");
-    let result = remove_redundancy_traced(net, patterns, checker, max_passes, &mut buf);
-    buf.discard();
-    result
-}
-
-/// [`remove_redundancy`] recording into a trace buffer: each sweep runs in
-/// a `pass` span carrying the rewrite counters it contributed
+/// The pattern set arrives word-packed (one simulation word per 64
+/// patterns, never a `Vec<bool>` per pattern; see
+/// [`xsynth_sim::pack_patterns`]). Each sweep runs in a `pass` span of
+/// `buf` carrying the rewrite counters it contributed
 /// (`redundancy.xor_to_or`, `redundancy.xor_to_and`,
 /// `redundancy.fanin_removed`, `redundancy.const_replaced`,
-/// `redundancy.reverted`).
-///
-/// # Panics
-///
-/// Panics if `patterns` is empty (at least the AZ/AO pair is required).
-pub fn remove_redundancy_traced(
-    net: &Network,
-    patterns: &[Pattern],
-    checker: &mut EquivChecker,
-    max_passes: usize,
-    buf: &mut TraceBuffer,
-) -> (Network, RedundancyStats) {
-    assert!(!patterns.is_empty(), "need at least one pattern (AZ/AO)");
-    let blocks = pack_patterns(net.inputs().len(), patterns);
-    remove_redundancy_governed(net, &blocks, checker, max_passes, None, buf)
-}
-
-/// The governed core of the pass: consumes the pattern set in word-packed
-/// form (one simulation word per 64 patterns, never a `Vec<bool>` per
-/// pattern) and stops sweeping when `deadline` passes — the network
-/// already rewritten and verified is kept, and
+/// `redundancy.reverted`). Sweeping stops when `deadline` passes — the
+/// network already rewritten and verified is kept, and
 /// [`RedundancyStats::curtailed`] plus a `redundancy.curtailed` trace
 /// counter record the early stop.
 ///
 /// # Panics
 ///
-/// Panics if `blocks` is empty (at least the AZ/AO pair is required).
-pub fn remove_redundancy_governed(
+/// Panics if `blocks` is empty (at least the AZ/AO pair is required), or
+/// if `checker` reports an error (a candidate whose inputs differ from
+/// the reference) — an invariant violation, which the synthesis
+/// pipeline's fault containment turns into [`crate::Error::OutputFailed`].
+pub fn remove_redundancy(
     net: &Network,
     blocks: &[PatternBlock],
     checker: &mut EquivChecker,
@@ -289,7 +258,7 @@ pub fn remove_redundancy_governed(
     // exercise the rollback path deterministically.
     fn accept(checker: &mut EquivChecker, cur: &Network) -> bool {
         xsynth_trace::fail_point!("core.redundancy.accept", false);
-        checker.check(cur)
+        checker.try_check(cur).unwrap_or_else(|e| panic!("{e}"))
     }
     let past_deadline = || deadline.is_some_and(|d| Instant::now() >= d);
     let mut cur = net.clone();
@@ -463,9 +432,26 @@ pub fn remove_redundancy_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::{paper_patterns, PatternOptions};
+    use crate::patterns::{paper_patterns, Pattern, PatternOptions};
     use xsynth_boolean::{Polarity, VarSet};
-    use xsynth_sim::exhaustive_patterns;
+    use xsynth_sim::{pack_patterns, try_exhaustive_patterns};
+    use xsynth_trace::TraceSink;
+
+    /// The pass over an explicit pattern list with no deadline, its trace
+    /// discarded.
+    fn reduce(
+        net: &Network,
+        patterns: &[Pattern],
+        checker: &mut EquivChecker,
+        max_passes: usize,
+    ) -> (Network, RedundancyStats) {
+        let sink = TraceSink::new();
+        let mut buf = sink.buffer(0, "redundancy");
+        let blocks = pack_patterns(net.inputs().len(), patterns);
+        let result = remove_redundancy(net, &blocks, checker, max_passes, None, &mut buf);
+        buf.discard();
+        result
+    }
 
     /// Builds the network for cube list in positive polarity via the cube
     /// method without rules, plus its paper pattern family.
@@ -503,9 +489,9 @@ mod tests {
         let t = net.add_gate(GateKind::And, vec![axb, c]);
         let carry = net.add_gate(GateKind::Xor, vec![ab, t]);
         net.add_output("cout", carry);
-        let pats = exhaustive_patterns(3);
+        let pats = try_exhaustive_patterns(3).unwrap();
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         // The outer carry XOR reduces by controllability (ab = 1 forces
         // (a⊕b)·c = 0), and Property 6's domino then makes the a⊕b gate's
         // (1,1) class unobservable (ab = 1 dominates the OR), so BOTH
@@ -523,7 +509,7 @@ mod tests {
         let cubes: Vec<VarSet> = (0..4).map(VarSet::singleton).collect();
         let (net, pats) = setup(4, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         assert_eq!(stats.xor_to_or + stats.xor_to_and, 0, "{stats:?}");
         assert_eq!(xor_count(&out), 3);
     }
@@ -543,7 +529,7 @@ mod tests {
         let cubes = vec![VarSet::from_vars([0]), VarSet::from_vars([0, 1])];
         let pats = paper_patterns(2, &pol, &cubes, &PatternOptions::default());
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         assert_eq!(stats.xor_to_and, 1, "{stats:?}");
         assert_eq!(xor_count(&out), 0);
         for m in 0..4u64 {
@@ -561,7 +547,7 @@ mod tests {
         ];
         let (net, pats) = setup(2, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         assert_eq!(xor_count(&out), 0, "{stats:?}");
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m)[0], m != 0);
@@ -580,9 +566,9 @@ mod tests {
         let ab = net.add_gate(GateKind::And, vec![a, b]);
         let o = net.add_gate(GateKind::Or, vec![a, ab]);
         net.add_output("f", o);
-        let pats = exhaustive_patterns(2);
+        let pats = try_exhaustive_patterns(2).unwrap();
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         assert!(stats.fanin_removed >= 1, "{stats:?}");
         assert_eq!(out.num_gates(), 0, "f collapses to the wire a");
         for m in 0..4u64 {
@@ -600,9 +586,9 @@ mod tests {
         let bc = net.add_gate(GateKind::And, vec![b, c]);
         let f = net.add_gate(GateKind::Xor, vec![bxc, bc]);
         net.add_output("f", f);
-        let pats = exhaustive_patterns(2);
+        let pats = try_exhaustive_patterns(2).unwrap();
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, stats) = reduce(&net, &pats, &mut checker, 8);
         assert_eq!(xor_count(&out), 0, "{stats:?}");
         // final: single OR gate
         assert_eq!(out.num_gates(), 1);
@@ -619,7 +605,7 @@ mod tests {
         let (net, _) = setup(2, &cubes);
         let az = vec![vec![false, false]];
         let mut checker = EquivChecker::new(&net);
-        let (out, stats) = remove_redundancy(&net, &az, &mut checker, 4);
+        let (out, stats) = reduce(&net, &az, &mut checker, 4);
         assert!(stats.reverted > 0, "{stats:?}");
         for m in 0..4u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
@@ -639,13 +625,13 @@ mod tests {
         let t = net.add_gate(GateKind::And, vec![axb, c]);
         let carry = net.add_gate(GateKind::Xor, vec![ab, t]);
         net.add_output("cout", carry);
-        let pats = exhaustive_patterns(3);
-        let blocks = xsynth_sim::pack_patterns(3, &pats);
+        let pats = try_exhaustive_patterns(3).unwrap();
+        let blocks = pack_patterns(3, &pats);
         let mut checker = EquivChecker::new(&net);
         let sink = TraceSink::new();
         let (out, stats) = {
             let mut buf = sink.buffer(0, "redundancy");
-            remove_redundancy_governed(
+            remove_redundancy(
                 &net,
                 &blocks,
                 &mut checker,
@@ -676,7 +662,7 @@ mod tests {
         ];
         let (net, pats) = setup(3, &cubes);
         let mut checker = EquivChecker::new(&net);
-        let (out, _stats) = remove_redundancy(&net, &pats, &mut checker, 8);
+        let (out, _stats) = reduce(&net, &pats, &mut checker, 8);
         assert_eq!(xor_count(&out), 2);
         for m in 0..8u64 {
             assert_eq!(out.eval_u64(m), net.eval_u64(m));
@@ -697,7 +683,7 @@ mod tests {
         let mut checker2 = EquivChecker::new(&net2);
         let pol = Polarity::all_positive(3);
         let pats2 = paper_patterns(3, &pol, &cubes, &PatternOptions::default());
-        let (out2, stats2) = remove_redundancy(&net2, &pats2, &mut checker2, 8);
+        let (out2, stats2) = reduce(&net2, &pats2, &mut checker2, 8);
         assert_eq!(stats2.xor_to_or, 1, "{stats2:?}");
         assert_eq!(xor_count(&out2), 1);
         for m in 0..8u64 {

@@ -23,10 +23,10 @@
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::engine::{Engine, PlanSeed};
 use crate::error::Error;
-use crate::factor::{factor_cubes, factor_cubes_traced, ofdd_to_network};
+use crate::factor::{factor_cubes, ofdd_to_network};
 use crate::gfx;
 use crate::patterns::{merge_patterns, paper_patterns, Pattern, PatternOptions};
-use crate::redundancy::{remove_redundancy_governed, RedundancyStats};
+use crate::redundancy::{remove_redundancy, RedundancyStats};
 use crate::verify::{try_network_bdds_compact, EquivChecker};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +36,7 @@ use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, VarSet};
 use xsynth_net::{GateKind, Network, SignalId};
 use xsynth_ofdd::{OfddManager, PolaritySearch, PolaritySearchStats};
-use xsynth_sim::{exhaustive_patterns, pack_patterns, random_patterns, Simulator};
+use xsynth_sim::{pack_patterns, random_patterns, try_exhaustive_patterns, Simulator};
 use xsynth_sop::SopNet;
 use xsynth_trace::{Trace, TraceBuffer, TraceSink};
 
@@ -45,7 +45,7 @@ pub use xsynth_ofdd::PolarityMode;
 /// The span names of the pipeline phases, shared by the tracer, the
 /// profile, the exporters and the tests.
 pub mod phase {
-    /// The root span of one [`super::synthesize`] call.
+    /// The root span of one synthesis run ([`crate::Engine::try_synthesize`]).
     pub const SYNTHESIZE: &str = "synthesize";
     /// BDD construction, polarity search and OFDD/FPRM generation.
     pub const FPRM: &str = "fprm";
@@ -92,7 +92,8 @@ pub enum Granularity {
     Auto,
 }
 
-/// Options for [`synthesize`].
+/// Options for [`Engine::try_synthesize_with`] (and the defaults of an
+/// [`Engine`]).
 ///
 /// The struct is `#[non_exhaustive]`: construct it with
 /// [`SynthOptions::default`] or the fluent [`SynthOptions::builder`], so
@@ -145,7 +146,7 @@ pub struct SynthOptions {
     /// that can degrade gracefully do (polarity search keeps its best so
     /// far, redundancy removal stops sweeping, verification falls back to
     /// fixed-seed simulation); the run only fails — as
-    /// [`Error::Budget`] from [`try_synthesize`] — when a phase cannot
+    /// [`Error::Budget`] from [`Engine::try_synthesize`] — when a phase cannot
     /// produce any result under the cap.
     pub budget: Budget,
     /// When an output's planning fails (a contained panic or a typed
@@ -265,7 +266,7 @@ pub struct PhaseStat {
     pub spans: usize,
 }
 
-/// Per-phase wall-clock breakdown of one [`synthesize`] call, derived from
+/// Per-phase wall-clock breakdown of one synthesis run, derived from
 /// the recorded [`Trace`] (the direct children of the root
 /// [`phase::SYNTHESIZE`] span, grouped by name in first-seen order).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -418,7 +419,7 @@ pub struct SynthReport {
     pub trace: Trace,
 }
 
-/// The result of one [`synthesize`] call: the optimized network and the
+/// The result of one synthesis run: the optimized network and the
 /// report describing how it was produced.
 #[derive(Debug, Clone)]
 pub struct SynthOutcome {
@@ -428,59 +429,8 @@ pub struct SynthOutcome {
     pub report: SynthReport,
 }
 
-/// Synthesizes `spec` with the paper's FPRM flow and returns the optimized
-/// network plus a report. The result is verified equivalent to `spec`
-/// (exactly via BDDs up to 40 inputs, statistically beyond).
-///
-/// # Examples
-///
-/// ```
-/// use xsynth_core::{synthesize, SynthOptions};
-/// use xsynth_net::{GateKind, Network};
-///
-/// // full adder sum: a ⊕ b ⊕ cin
-/// let mut spec = Network::new("sum");
-/// let a = spec.add_input("a");
-/// let b = spec.add_input("b");
-/// let c = spec.add_input("cin");
-/// let s = spec.add_gate(GateKind::Xor, vec![a, b, c]);
-/// spec.add_output("s", s);
-/// let outcome = synthesize(&spec, &SynthOptions::default());
-/// assert_eq!(outcome.report.outputs[0].1, 3, "3 FPRM cubes");
-/// for m in 0..8 {
-///     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics if an internal factoring step produces a non-equivalent network
-/// (an invariant violation, not an input condition), or if a configured
-/// [`Budget`] trips where no degraded result is possible — use
-/// [`try_synthesize`] when running under a budget.
-pub fn synthesize(spec: &Network, opts: &SynthOptions) -> SynthOutcome {
-    try_synthesize(spec, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`synthesize`]: a tripped [`Budget`] surfaces as
-/// [`Error::Budget`] (when no degraded result was possible) and a failed
-/// final verification as [`Error::Verify`], instead of panicking. Phases
-/// that degraded gracefully under the budget are listed in
-/// [`SynthReport::curtailed`]; the returned network is always verified
-/// against the specification.
-///
-/// This is a one-shot convenience over a throwaway [`Engine`]: the
-/// content cache and substrate pool start empty and are dropped with the
-/// call, so repeated invocations behave identically. Long-lived callers
-/// should hold an [`Engine`] and use [`Engine::try_synthesize`], which
-/// keeps both warm across jobs.
-pub fn try_synthesize(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Error> {
-    Engine::with_options(opts.clone()).try_synthesize(spec)
-}
-
-/// The traced, fault-contained synthesis entry shared by the free
-/// functions (throwaway engine) and [`Engine::try_synthesize`]
-/// (long-lived engine).
+/// The traced, fault-contained synthesis body behind
+/// [`Engine::try_synthesize`] and [`Engine::try_synthesize_with`].
 pub(crate) fn try_synthesize_on(
     engine: &Engine,
     spec: &Network,
@@ -523,7 +473,7 @@ fn curtail(report: &mut SynthReport, name: &str) {
     }
 }
 
-/// The traced pipeline body of [`try_synthesize`].
+/// The traced pipeline body of [`try_synthesize_on`].
 fn run_pipeline(
     engine: &Engine,
     spec: &Network,
@@ -653,7 +603,7 @@ fn run_pipeline(
         patterns.truncate(opts.budget.cap_patterns(patterns.len()));
         main.gauge("redundancy.patterns", patterns.len() as f64);
         let blocks = pack_patterns(n, &patterns);
-        let (reduced, stats) = remove_redundancy_governed(
+        let (reduced, stats) = remove_redundancy(
             &result,
             &blocks,
             &mut checker,
@@ -1010,7 +960,7 @@ fn emitted_cone_matches(net: &Network, sig: SignalId, bm: &BddManager, f: xsynth
         return true;
     }
     let patterns = if n <= 11 {
-        exhaustive_patterns(n)
+        try_exhaustive_patterns(n).expect("11 inputs are within the materialise limit")
     } else {
         random_patterns(n, 128, 0x5eed_fa11)
     };
@@ -1558,7 +1508,12 @@ fn synthesize_blocks(
                 }
             };
             let pol = fprm.polarity().clone();
-            let expr = factor_cubes_traced(fprm.cubes(), opts.apply_rules, buf);
+            let cubes = fprm.cubes();
+            let expr = buf.span("factor_cubes", |buf| {
+                buf.count("factor.calls", 1);
+                buf.count("factor.cubes", cubes.len() as u64);
+                factor_cubes(cubes, opts.apply_rules)
+            });
             let mut lits = |net: &mut Network, b: usize| -> SignalId {
                 let base = map[&support[b]];
                 if pol.is_positive(b) {
@@ -1661,12 +1616,12 @@ fn scratch_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_sim::exhaustive_patterns;
+    use xsynth_sim::try_exhaustive_patterns;
 
     fn check_equiv(a: &Network, b: &Network) {
         let n = a.inputs().len();
         assert!(n <= 16);
-        for p in exhaustive_patterns(n) {
+        for p in try_exhaustive_patterns(n).unwrap() {
             assert_eq!(a.eval(&p), b.eval(&p));
         }
     }
@@ -1704,7 +1659,7 @@ mod tests {
         let SynthOutcome {
             network: out,
             report,
-        } = synthesize(&spec, &SynthOptions::default());
+        } = Engine::new().try_synthesize(&spec).unwrap();
         check_equiv(&spec, &out);
         assert_eq!(report.redundancy.reverted, 0, "{:?}", report.redundancy);
         // sum bits keep their XORs; carries become AND/OR
@@ -1721,7 +1676,10 @@ mod tests {
         let spec = adder(2, false);
         for method in [FactorMethod::Cube, FactorMethod::Ofdd] {
             let opts = SynthOptions::builder().method(method).build();
-            let out = synthesize(&spec, &opts).network;
+            let out = Engine::with_options(opts.clone())
+                .try_synthesize(&spec)
+                .unwrap()
+                .network;
             check_equiv(&spec, &out);
         }
     }
@@ -1735,7 +1693,10 @@ mod tests {
             PolarityMode::Exhaustive,
         ] {
             let opts = SynthOptions::builder().polarity(polarity).build();
-            let out = synthesize(&spec, &opts).network;
+            let out = Engine::with_options(opts.clone())
+                .try_synthesize(&spec)
+                .unwrap()
+                .network;
             check_equiv(&spec, &out);
         }
     }
@@ -1756,7 +1717,7 @@ mod tests {
         let SynthOutcome {
             network: out,
             report,
-        } = synthesize(&spec, &SynthOptions::default());
+        } = Engine::new().try_synthesize(&spec).unwrap();
         check_equiv(&spec, &out);
         assert_eq!(report.outputs[0].1, 1, "one cube in all-negative polarity");
     }
@@ -1772,7 +1733,7 @@ mod tests {
         let y = spec.add_gate(GateKind::Xor, vec![c, b, a]);
         spec.add_output("x", x);
         spec.add_output("y", y);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         check_equiv(&spec, &out);
         assert!(
             out.num_gates() <= 2,
@@ -1790,7 +1751,7 @@ mod tests {
         let w = spec.add_gate(GateKind::Buf, vec![b]);
         spec.add_output("zero", t);
         spec.add_output("wire", w);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         check_equiv(&spec, &out);
         assert_eq!(out.num_gates(), 0);
     }
@@ -1798,7 +1759,7 @@ mod tests {
     #[test]
     fn report_lists_every_output() {
         let spec = adder(2, false);
-        let report = synthesize(&spec, &SynthOptions::default()).report;
+        let report = Engine::new().try_synthesize(&spec).unwrap().report;
         assert_eq!(report.outputs.len(), spec.outputs().len());
         for (name, count, _) in &report.outputs {
             assert!(!name.is_empty());
@@ -1809,7 +1770,7 @@ mod tests {
     #[test]
     fn report_carries_trace_and_profile() {
         let spec = adder(3, true);
-        let report = synthesize(&spec, &SynthOptions::default()).report;
+        let report = Engine::new().try_synthesize(&spec).unwrap().report;
         let names = report.trace.span_names();
         for p in [
             phase::SYNTHESIZE,
@@ -1844,8 +1805,12 @@ mod tests {
     fn external_sink_aggregates_runs() {
         let sink = TraceSink::new();
         let opts = SynthOptions::builder().trace(sink.clone()).build();
-        synthesize(&adder(2, false), &opts);
-        synthesize(&adder(2, true), &opts);
+        Engine::with_options(opts.clone())
+            .try_synthesize(&adder(2, false))
+            .unwrap();
+        Engine::with_options(opts.clone())
+            .try_synthesize(&adder(2, true))
+            .unwrap();
         let trace = sink.take();
         // two runs, each with a pipeline track and one planning track per
         // output; labels are prefixed with the circuit name
@@ -1904,7 +1869,7 @@ mod tests {
                 .budget(Budget::default().bdd_node_cap(Some(cap)))
                 .parallel(false)
                 .build();
-            match try_synthesize(&spec, &opts) {
+            match Engine::with_options(opts.clone()).try_synthesize(&spec) {
                 Ok(outcome) => {
                     succeeded = true;
                     check_equiv(&spec, &outcome.network);
@@ -1933,7 +1898,9 @@ mod tests {
             .budget(Budget::default().phase_timeout(Some(Duration::ZERO)))
             .parallel(false)
             .build();
-        let outcome = try_synthesize(&spec, &opts).expect("time budgets degrade, never fail");
+        let outcome = Engine::with_options(opts.clone())
+            .try_synthesize(&spec)
+            .expect("time budgets degrade, never fail");
         check_equiv(&spec, &outcome.network);
         assert!(
             outcome.report.curtailed.iter().any(|p| p == phase::FPRM)
@@ -1954,7 +1921,9 @@ mod tests {
             .budget(Budget::default().max_patterns(Some(8)))
             .parallel(false)
             .build();
-        let outcome = try_synthesize(&spec, &opts).expect("pattern caps degrade, never fail");
+        let outcome = Engine::with_options(opts.clone())
+            .try_synthesize(&spec)
+            .expect("pattern caps degrade, never fail");
         check_equiv(&spec, &outcome.network);
         let pats = outcome
             .report
@@ -1967,7 +1936,7 @@ mod tests {
     #[test]
     fn unlimited_budget_reports_nothing_curtailed() {
         let spec = adder(2, false);
-        let outcome = synthesize(&spec, &SynthOptions::default());
+        let outcome = Engine::new().try_synthesize(&spec).unwrap();
         assert!(outcome.report.curtailed.is_empty());
         assert!(!outcome.report.verify_downgraded);
     }

@@ -4,8 +4,8 @@
 use crate::budget::{Budget, BudgetExceeded, Resource};
 use crate::error::Error;
 use std::collections::HashMap;
-use xsynth_bdd::{Bdd, BddManager};
-use xsynth_net::{Network, NodeKind, SignalId};
+use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
+use xsynth_net::{GateKind, Network, NodeKind, SignalId};
 use xsynth_sim::{equivalent_on_blocks, pack_patterns, random_patterns, PatternBlock};
 use xsynth_trace::TraceBuffer;
 
@@ -42,7 +42,8 @@ const SIM_SEED: u64 = 0xec;
 /// let g = a.add_gate(GateKind::Xor, vec![x, y]);
 /// a.add_output("f", g);
 /// let mut checker = EquivChecker::new(&a);
-/// assert!(checker.check(&a));
+/// assert!(checker.try_check(&a)?);
+/// # Ok::<(), xsynth_core::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct EquivChecker {
@@ -122,15 +123,6 @@ impl EquivChecker {
         self.downgraded
     }
 
-    /// Checks a candidate network against the reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the candidate's inputs differ from the reference's.
-    pub fn check(&mut self, candidate: &Network) -> bool {
-        self.try_check(candidate).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Checks a candidate network against the reference, reporting input
     /// mismatches as [`Error::InputMismatch`] instead of panicking.
     ///
@@ -187,18 +179,12 @@ impl EquivChecker {
         ))
     }
 
-    /// [`EquivChecker::check`] recording into a trace buffer: runs inside a
-    /// `check` span, counts `verify.checks`, and (on the simulation
-    /// backend) counts the patterns simulated as `verify.sim_patterns`.
-    pub fn check_traced(&mut self, candidate: &Network, buf: &mut TraceBuffer) -> bool {
-        self.try_check_traced(candidate, buf)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`EquivChecker::try_check`] recording into a trace buffer. The
-    /// `check` span is closed on every path, including errors; a mid-check
-    /// downgrade is counted as `verify.downgraded`.
-    pub fn try_check_traced(
+    /// [`EquivChecker::try_check`] recording into a trace buffer: runs
+    /// inside a `check` span, counts `verify.checks`, and (on the
+    /// simulation backend) counts the patterns simulated as
+    /// `verify.sim_patterns`. The span is closed on every path, including
+    /// errors; a mid-check downgrade is counted as `verify.downgraded`.
+    pub(crate) fn try_check_traced(
         &mut self,
         candidate: &Network,
         buf: &mut TraceBuffer,
@@ -221,17 +207,6 @@ impl EquivChecker {
     }
 }
 
-/// Builds the BDD of every output of `net` in `bm` (whose arity must match
-/// the input count), by structural traversal.
-///
-/// # Panics
-///
-/// Panics on arity mismatch, a combinational cycle, or when `bm` runs out
-/// of its node cap; use [`try_network_bdds`] for the fallible form.
-pub fn network_bdds(net: &Network, bm: &mut BddManager) -> Vec<Bdd> {
-    try_network_bdds(net, bm).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Garbage-collected form of [`try_network_bdds`]: builds every gate's
 /// BDD in a throwaway scratch manager (inheriting `bm`'s node cap), then
 /// copies only the DAGs reachable from the output roots into `bm`.
@@ -244,33 +219,73 @@ pub fn network_bdds(net: &Network, bm: &mut BddManager) -> Vec<Bdd> {
 /// only ever holds live cones. The copy is a sequential DFS in output
 /// order, so the set of nodes it interns is schedule-independent and the
 /// parallel≡sequential `bdd.nodes` contract is preserved.
-pub fn try_network_bdds_compact(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, Error> {
+pub(crate) fn try_network_bdds_compact(
+    net: &Network,
+    bm: &mut BddManager,
+) -> Result<Vec<Bdd>, Error> {
     let n = net.inputs().len();
-    if bm.num_vars() != n {
-        return Err(Error::msg(format!(
-            "BDD arity mismatch: manager has {} vars, network has {} inputs",
-            bm.num_vars(),
-            n
-        )));
-    }
+    check_arity(net, bm)?;
     let mut scratch = match bm.node_limit() {
         Some(cap) => BddManager::with_node_limit(n, cap),
         None => BddManager::new(n),
     };
     let outs = try_network_bdds(net, &mut scratch)?;
-    scratch.try_copy_roots(&outs, bm).map_err(|_| {
-        Error::Budget(BudgetExceeded::new(
-            "bdd",
-            Resource::BddNodes,
-            bm.node_limit().unwrap_or(0) as u64,
-        ))
-    })
+    scratch
+        .try_copy_roots(&outs, bm)
+        .map_err(|_| node_cap_error(bm))
 }
 
-/// Fallible form of [`network_bdds`]: reports arity mismatches and
-/// combinational cycles as errors, and maps the manager's node cap to
+/// Builds the BDD of every output of `net` in `bm` (whose arity must match
+/// the input count), by structural traversal. Arity mismatches and
+/// combinational cycles are errors, and the manager's node cap maps to
 /// [`Error::Budget`] so governed callers can degrade instead of dying.
 pub fn try_network_bdds(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, Error> {
+    check_arity(net, bm)?;
+    let mut val: HashMap<SignalId, Bdd> = HashMap::new();
+    for (i, &id) in net.inputs().iter().enumerate() {
+        let v = bm.try_var(i).map_err(|_| node_cap_error(bm))?;
+        val.insert(id, v);
+    }
+    for id in net.try_topo_order()? {
+        let NodeKind::Gate(kind) = net.kind(id) else {
+            continue;
+        };
+        let fan: Vec<Bdd> = net.fanins(id).iter().map(|f| val[f]).collect();
+        let b = gate_bdd(bm, *kind, &fan).map_err(|_| node_cap_error(bm))?;
+        val.insert(id, b);
+    }
+    Ok(net.outputs().iter().map(|&(_, s)| val[&s]).collect())
+}
+
+/// Why a BDD operation on a manager built without a node cap cannot fail.
+pub(crate) const UNCAPPED: &str = "an uncapped BDD manager has no node cap to trip";
+
+/// The BDD of one gate over its fanins' BDDs, folding multi-input gates
+/// left to right from the operation's identity.
+pub(crate) fn gate_bdd(
+    bm: &mut BddManager,
+    kind: GateKind,
+    fan: &[Bdd],
+) -> Result<Bdd, NodeLimitExceeded> {
+    use GateKind::*;
+    type Apply = fn(&mut BddManager, Bdd, Bdd) -> Result<Bdd, NodeLimitExceeded>;
+    let (identity, op, negate): (Bdd, Apply, bool) = match kind {
+        Const0 => return Ok(Bdd::ZERO),
+        Const1 => return Ok(Bdd::ONE),
+        Buf => return Ok(fan[0]),
+        Not => return Ok(bm.not(fan[0])),
+        And => (Bdd::ONE, BddManager::try_and, false),
+        Nand => (Bdd::ONE, BddManager::try_and, true),
+        Or => (Bdd::ZERO, BddManager::try_or, false),
+        Nor => (Bdd::ZERO, BddManager::try_or, true),
+        Xor => (Bdd::ZERO, BddManager::try_xor, false),
+        Xnor => (Bdd::ZERO, BddManager::try_xor, true),
+    };
+    let f = fan.iter().try_fold(identity, |a, &x| op(bm, a, x))?;
+    Ok(if negate { bm.not(f) } else { f })
+}
+
+fn check_arity(net: &Network, bm: &BddManager) -> Result<(), Error> {
     if bm.num_vars() != net.inputs().len() {
         return Err(Error::msg(format!(
             "BDD arity mismatch: manager has {} vars, network has {} inputs",
@@ -278,84 +293,20 @@ pub fn try_network_bdds(net: &Network, bm: &mut BddManager) -> Result<Vec<Bdd>, 
             net.inputs().len()
         )));
     }
-    let budget_err = |bm: &BddManager| {
-        Error::Budget(BudgetExceeded::new(
-            "bdd",
-            Resource::BddNodes,
-            bm.node_limit().unwrap_or(0) as u64,
-        ))
-    };
-    let mut val: HashMap<SignalId, Bdd> = HashMap::new();
-    for (i, &id) in net.inputs().iter().enumerate() {
-        let v = bm.try_var(i).map_err(|_| budget_err(bm))?;
-        val.insert(id, v);
-    }
-    for id in net.try_topo_order()? {
-        let NodeKind::Gate(kind) = net.kind(id) else {
-            continue;
-        };
-        use xsynth_net::GateKind::*;
-        let fan: Vec<Bdd> = net.fanins(id).iter().map(|f| val[f]).collect();
-        let b = (|| {
-            Ok(match kind {
-                Const0 => Bdd::ZERO,
-                Const1 => Bdd::ONE,
-                Buf => fan[0],
-                Not => bm.try_not(fan[0])?,
-                And => {
-                    let mut a = Bdd::ONE;
-                    for &x in &fan {
-                        a = bm.try_and(a, x)?;
-                    }
-                    a
-                }
-                Nand => {
-                    let mut a = Bdd::ONE;
-                    for &x in &fan {
-                        a = bm.try_and(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-                Or => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_or(a, x)?;
-                    }
-                    a
-                }
-                Nor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_or(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-                Xor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_xor(a, x)?;
-                    }
-                    a
-                }
-                Xnor => {
-                    let mut a = Bdd::ZERO;
-                    for &x in &fan {
-                        a = bm.try_xor(a, x)?;
-                    }
-                    bm.try_not(a)?
-                }
-            })
-        })()
-        .map_err(|_: xsynth_bdd::NodeLimitExceeded| budget_err(bm))?;
-        val.insert(id, b);
-    }
-    Ok(net.outputs().iter().map(|&(_, s)| val[&s]).collect())
+    Ok(())
+}
+
+fn node_cap_error(bm: &BddManager) -> Error {
+    Error::Budget(BudgetExceeded::new(
+        "bdd",
+        Resource::BddNodes,
+        bm.node_limit().unwrap_or(0) as u64,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsynth_net::GateKind;
     use xsynth_trace::TraceSink;
 
     fn xor_net(style: u8) -> Network {
@@ -381,7 +332,7 @@ mod tests {
         let mut c = EquivChecker::new(&xor_net(0));
         assert!(c.is_exact());
         assert!(!c.downgraded());
-        assert!(c.check(&xor_net(1)));
+        assert!(c.try_check(&xor_net(1)).unwrap());
     }
 
     #[test]
@@ -392,7 +343,7 @@ mod tests {
         let b = bad.add_input("b");
         let o = bad.add_gate(GateKind::Or, vec![a, b]);
         bad.add_output("f", o);
-        assert!(!c.check(&bad));
+        assert!(!c.try_check(&bad).unwrap());
     }
 
     #[test]
@@ -406,12 +357,12 @@ mod tests {
         };
         let mut c = EquivChecker::new(&build(GateKind::And));
         assert!(!c.is_exact());
-        assert!(c.check(&build(GateKind::And)));
+        assert!(c.try_check(&build(GateKind::And)).unwrap());
         // AND vs NAND of 48 inputs differ almost everywhere under random
         // patterns? they differ only where all inputs are 1, which random
         // patterns will never hit — use OR vs AND instead, which differ on
         // nearly every pattern.
-        assert!(!c.check(&build(GateKind::Or)));
+        assert!(!c.try_check(&build(GateKind::Or)).unwrap());
     }
 
     #[test]
@@ -431,7 +382,10 @@ mod tests {
         b.add_output("p", g1);
         b.add_output("q", g2);
         let mut c = EquivChecker::new(&a);
-        assert!(!c.check(&b), "swapped outputs are not equivalent");
+        assert!(
+            !c.try_check(&b).unwrap(),
+            "swapped outputs are not equivalent"
+        );
     }
 
     #[test]

@@ -120,19 +120,9 @@ impl KfddManager {
     }
 
     #[allow(clippy::wrong_self_convention)] // manager-style constructor, as in CUDD
-    /// Builds the KFDD of a BDD function under this manager's types.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch, or if `bm` has a node cap and trips it
-    /// (use [`KfddManager::try_from_bdd`] under a budget).
-    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Kfdd {
-        self.try_from_bdd(bm, f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`KfddManager::from_bdd`]: the Davio expansions
-    /// allocate XOR cofactors in `bm`, so a node-capped manager can trip.
+    /// Builds the KFDD of a BDD function under this manager's types. The
+    /// Davio expansions allocate XOR cofactors in `bm`, so a node-capped
+    /// manager can trip.
     ///
     /// # Panics
     ///
@@ -174,11 +164,13 @@ impl KfddManager {
         Ok(k)
     }
 
-    /// Convenience: builds from a truth table.
+    /// Convenience: builds from a truth table through a private, uncapped
+    /// BDD manager.
     pub fn from_table(&mut self, t: &TruthTable) -> Kfdd {
         let mut bm = BddManager::new(t.num_vars());
-        let f = bm.from_table(t);
-        self.from_bdd(&mut bm, f)
+        bm.try_from_table(t)
+            .and_then(|f| self.try_from_bdd(&mut bm, f))
+            .expect(crate::UNCAPPED)
     }
 
     /// Evaluates on a variable-space assignment.
@@ -337,16 +329,7 @@ impl KfddManager {
 /// change most reduces the node count, until a local minimum. Returns the
 /// winning manager and root.
 ///
-/// # Panics
-///
-/// Panics if `bm` has a node cap and even the base all-positive-Davio
-/// build trips it (use [`try_optimize_decomposition`] under a budget).
-pub fn optimize_decomposition(bm: &mut BddManager, f: Bdd) -> (KfddManager, Kfdd) {
-    try_optimize_decomposition(bm, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`optimize_decomposition`]. Under a node-capped
-/// manager, candidate retypes that trip the cap are simply skipped (the
+/// Under a node-capped manager, candidate retypes that trip the cap are simply skipped (the
 /// best affordable decomposition so far is kept); the call only errors
 /// when even the base all-positive-Davio build is unaffordable.
 pub fn try_optimize_decomposition(
@@ -460,7 +443,7 @@ mod tests {
         let t = TruthTable::from_fn(6, |m| (m * 13 + 5) % 11 < 5);
         let kfdd_size = check(&t, vec![Decomposition::Shannon; 6]);
         let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let f = bm.try_from_table(&t).unwrap();
         assert_eq!(kfdd_size, complement_free_size(&bm, f));
         assert!(bm.size(f) <= kfdd_size, "complement edges only merge nodes");
     }
@@ -499,8 +482,8 @@ mod tests {
                 (s >> 40) & 7 < 3
             });
             let mut bm = BddManager::new(6);
-            let f = bm.from_table(&t);
-            let (m, r) = optimize_decomposition(&mut bm, f);
+            let f = bm.try_from_table(&t).unwrap();
+            let (m, r) = try_optimize_decomposition(&mut bm, f).unwrap();
             assert!(m.size(r) <= ofdd_node_count(&t), "seed {seed}");
             for mt in 0..64u64 {
                 assert_eq!(m.eval(r, mt), t.eval(mt));
@@ -513,8 +496,8 @@ mod tests {
         // f = s ? a : b — one Shannon node at s beats Davio chains
         let t = TruthTable::from_fn(3, |m| if m & 1 != 0 { m & 2 != 0 } else { m & 4 != 0 });
         let mut bm = BddManager::new(3);
-        let f = bm.from_table(&t);
-        let (m, r) = optimize_decomposition(&mut bm, f);
+        let f = bm.try_from_table(&t).unwrap();
+        let (m, r) = try_optimize_decomposition(&mut bm, f).unwrap();
         assert!(
             m.size(r) <= 3,
             "mux should be tiny under mixed types, got {}",
@@ -526,8 +509,8 @@ mod tests {
     fn parity_prefers_davio() {
         let t = TruthTable::from_fn(8, |m| m.count_ones() % 2 == 1);
         let mut bm = BddManager::new(8);
-        let f = bm.from_table(&t);
-        let (m, r) = optimize_decomposition(&mut bm, f);
+        let f = bm.try_from_table(&t).unwrap();
+        let (m, r) = try_optimize_decomposition(&mut bm, f).unwrap();
         // pure Davio gives n nodes; Shannon would give 2n-1
         assert_eq!(m.size(r), 8);
         assert!(m.types().iter().all(|d| *d != Decomposition::Shannon));

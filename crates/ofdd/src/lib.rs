@@ -25,10 +25,11 @@
 //! // x0 OR x1 = x0 ⊕ x1 ⊕ x0·x1 in positive polarity.
 //! let t = TruthTable::var(2, 0) | TruthTable::var(2, 1);
 //! let mut bm = BddManager::new(2);
-//! let f = bm.from_table(&t);
+//! let f = bm.try_from_table(&t)?;
 //! let mut om = OfddManager::new(Polarity::all_positive(2));
-//! let o = om.from_bdd(&mut bm, f);
+//! let o = om.try_from_bdd(&mut bm, f)?;
 //! assert_eq!(om.num_cubes(o), 3);
+//! # Ok::<(), xsynth_bdd::NodeLimitExceeded>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -41,6 +42,9 @@ use std::time::Instant;
 use xsynth_bdd::{Bdd, BddManager, NodeLimitExceeded};
 use xsynth_boolean::{Fprm, Polarity, TruthTable, VarSet};
 use xsynth_trace::TraceBuffer;
+
+/// Why a BDD operation on a manager built without a node cap cannot fail.
+const UNCAPPED: &str = "an uncapped BDD manager has no node cap to trip";
 
 /// A handle to an OFDD node inside an [`OfddManager`].
 ///
@@ -213,22 +217,12 @@ impl OfddManager {
 
     #[allow(clippy::wrong_self_convention)] // manager-style constructor, as in CUDD
     /// Builds the OFDD of `f` from a ROBDD, variable by variable in the
-    /// shared natural order.
+    /// shared natural order. The conversion drives `bm` through XOR
+    /// operations, so a node-capped `bm` can trip.
     ///
     /// # Panics
     ///
-    /// Panics if the BDD manager's arity differs, or if a node cap is set
-    /// on `bm` and tripped (use [`OfddManager::try_from_bdd`] under a
-    /// budget).
-    pub fn from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Ofdd {
-        self.try_from_bdd(bm, f)
-            .unwrap_or_else(|e| panic!("{e} (use try_from_bdd under a node cap)"))
-    }
-
-    #[allow(clippy::wrong_self_convention)]
-    /// Fallible form of [`OfddManager::from_bdd`]: the conversion drives
-    /// `bm` through XOR operations that can trip its node cap. Still
-    /// panics on an arity mismatch, which is a programming error.
+    /// Panics if the BDD manager's arity differs, a programming error.
     pub fn try_from_bdd(&mut self, bm: &mut BddManager, f: Bdd) -> Result<Ofdd, NodeLimitExceeded> {
         assert_eq!(bm.num_vars(), self.num_vars(), "arity mismatch");
         xsynth_trace::fail_point!(
@@ -273,11 +267,13 @@ impl OfddManager {
         Ok(o)
     }
 
-    /// Convenience: builds the OFDD of a truth table.
+    /// Convenience: builds the OFDD of a truth table through a private,
+    /// uncapped BDD manager.
     pub fn from_table(&mut self, t: &TruthTable) -> Ofdd {
         let mut bm = BddManager::new(t.num_vars());
-        let f = bm.from_table(t);
-        self.from_bdd(&mut bm, f)
+        bm.try_from_table(t)
+            .and_then(|f| self.try_from_bdd(&mut bm, f))
+            .expect(UNCAPPED)
     }
 
     /// Number of FPRM cubes (paths to the 1-terminal).
@@ -561,19 +557,8 @@ impl<'a> PolaritySearch<'a> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// The FPRM cube count of the function under `pol`, memoized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager's node cap trips (use
-    /// [`PolaritySearch::try_cube_count`] under a budget).
-    pub fn cube_count(&mut self, pol: &Polarity) -> u64 {
-        self.try_cube_count(pol)
-            .expect("BDD node limit exceeded during polarity search (use try_cube_count)")
-    }
-
-    /// [`PolaritySearch::cube_count`] that reports a tripped node cap as
-    /// `None` instead of panicking.
+    /// The FPRM cube count of the function under `pol`, memoized; `None`
+    /// when the manager's node cap trips.
     pub fn try_cube_count(&mut self, pol: &Polarity) -> Option<u64> {
         if let Some(&c) = self.memo.get(pol) {
             self.record(0, 1);
@@ -590,22 +575,6 @@ impl<'a> PolaritySearch<'a> {
                 None
             }
         }
-    }
-
-    /// Cube counts for a batch of candidate polarities, answered from the
-    /// memo where possible and computed (in parallel when enabled) where
-    /// not. The returned vector is index-aligned with `pols`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager's node cap trips; the budget-governed search
-    /// strategies use the internal keep-best-so-far path instead.
-    pub fn cube_counts(&mut self, pols: &[Polarity]) -> Vec<u64> {
-        let (counts, _) = self.counts_governed(pols);
-        counts
-            .into_iter()
-            .map(|c| c.expect("BDD node limit exceeded during polarity search"))
-            .collect()
     }
 
     /// Batch evaluation under the budget: memo hits always answer;
@@ -869,7 +838,7 @@ pub fn optimize_polarity_mode(
 ) -> ((OfddManager, Ofdd), PolaritySearchStats) {
     let n = t.num_vars();
     let mut bm = BddManager::new(n);
-    let f = bm.from_table(t);
+    let f = bm.try_from_table(t).expect(UNCAPPED);
     let support: Vec<usize> = bm.support(f).iter().collect();
     let (pol, stats) = {
         let mut search = PolaritySearch::new(&mut bm, f).parallel(true);
@@ -877,7 +846,7 @@ pub fn optimize_polarity_mode(
         (pol, search.stats)
     };
     let mut om = OfddManager::new(pol);
-    let o = om.from_bdd(&mut bm, f);
+    let o = om.try_from_bdd(&mut bm, f).expect(UNCAPPED);
     ((om, o), stats)
 }
 
@@ -1004,7 +973,7 @@ mod tests {
     fn try_from_bdd_trips_capped_manager() {
         let t = TruthTable::from_fn(8, |m| (m * 31 + 7) % 11 < 4);
         let mut bm = BddManager::new(8);
-        let f = bm.from_table(&t);
+        let f = bm.try_from_table(&t).unwrap();
         // the conversion drives the BDD manager through fresh XORs, so a
         // cap at the current size must trip
         bm.set_node_limit(Some(bm.num_nodes()));
@@ -1020,7 +989,7 @@ mod tests {
     fn capped_search_aborts_and_keeps_best() {
         let t = TruthTable::from_fn(6, |m| (m * 37 + 11) % 5 < 2);
         let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let f = bm.try_from_table(&t).unwrap();
         let support: Vec<usize> = bm.support(f).iter().collect();
         // cap at the current size: the very first candidate is
         // unaffordable, so the search must fall back to all-positive with
@@ -1037,7 +1006,7 @@ mod tests {
     fn expired_deadline_keeps_base_polarity_result() {
         let t = TruthTable::from_fn(6, |m| m.count_ones() % 3 == 1);
         let mut bm = BddManager::new(6);
-        let f = bm.from_table(&t);
+        let f = bm.try_from_table(&t).unwrap();
         let support: Vec<usize> = bm.support(f).iter().collect();
         let past = Instant::now() - std::time::Duration::from_millis(1);
         let mut search = PolaritySearch::new(&mut bm, f).deadline(Some(past));
@@ -1049,7 +1018,7 @@ mod tests {
         assert_ne!(count, u64::MAX);
         // an unconstrained search finds a result at least as good
         let mut bm2 = BddManager::new(6);
-        let f2 = bm2.from_table(&t);
+        let f2 = bm2.try_from_table(&t).unwrap();
         let mut free = PolaritySearch::new(&mut bm2, f2);
         let (_, free_count) = free.run(PolarityMode::Greedy, &support);
         assert!(free_count <= count);

@@ -220,7 +220,7 @@ pub fn is_undetected(net: &Network, patterns: &[Pattern], fault: Fault) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive_patterns;
+    use crate::try_exhaustive_patterns;
     use xsynth_net::GateKind;
 
     fn xor_as_aoi() -> Network {
@@ -241,7 +241,7 @@ mod tests {
     fn xor_aoi_is_fully_testable_exhaustively() {
         let n = xor_as_aoi();
         let faults = enumerate_faults(&n);
-        let rep = fault_simulate(&n, &exhaustive_patterns(2), &faults);
+        let rep = fault_simulate(&n, &try_exhaustive_patterns(2).unwrap(), &faults);
         assert_eq!(rep.undetected, vec![], "irredundant circuit: {rep}");
         assert_eq!(rep.coverage(), 1.0);
     }
@@ -252,7 +252,7 @@ mod tests {
         // patterns leaves some internal fault undetected.
         let n = xor_as_aoi();
         let faults = enumerate_faults(&n);
-        let all = exhaustive_patterns(2);
+        let all = try_exhaustive_patterns(2).unwrap();
         for skip in 0..4 {
             let subset: Vec<_> = all
                 .iter()
@@ -279,7 +279,11 @@ mod tests {
         let g2 = n.add_gate(GateKind::And, vec![a, b]);
         let o = n.add_gate(GateKind::Or, vec![g1, g2]);
         n.add_output("y", o);
-        let rep = fault_simulate(&n, &exhaustive_patterns(2), &enumerate_faults(&n));
+        let rep = fault_simulate(
+            &n,
+            &try_exhaustive_patterns(2).unwrap(),
+            &enumerate_faults(&n),
+        );
         assert!(
             !rep.undetected.is_empty(),
             "duplicated cube must create untestable faults"
@@ -289,7 +293,7 @@ mod tests {
             site: FaultSite::Fanin(o, 1),
             stuck_at: false,
         };
-        assert!(is_undetected(&n, &exhaustive_patterns(2), f));
+        assert!(is_undetected(&n, &try_exhaustive_patterns(2).unwrap(), f));
     }
 
     #[test]
@@ -309,7 +313,11 @@ mod tests {
     #[test]
     fn report_formatting() {
         let n = xor_as_aoi();
-        let rep = fault_simulate(&n, &exhaustive_patterns(2), &enumerate_faults(&n));
+        let rep = fault_simulate(
+            &n,
+            &try_exhaustive_patterns(2).unwrap(),
+            &enumerate_faults(&n),
+        );
         let s = rep.to_string();
         assert!(s.contains("100.0%"), "{s}");
     }

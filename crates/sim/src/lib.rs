@@ -20,8 +20,9 @@
 //! let g = n.add_gate(GateKind::And, vec![a, b]);
 //! n.add_output("y", g);
 //! let sim = Simulator::new(&n);
-//! let outs = sim.outputs_for_patterns(&xsynth_sim::exhaustive_patterns(2));
+//! let outs = sim.outputs_for_patterns(&xsynth_sim::try_exhaustive_patterns(2)?);
 //! assert_eq!(outs[3], vec![true]); // pattern 0b11
+//! # Ok::<(), xsynth_sim::PatternSetTooLarge>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -36,7 +37,6 @@ pub use power::{power_estimate, signal_activity, PowerReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xsynth_net::{Network, NodeKind, SignalId};
-use xsynth_trace::TraceBuffer;
 
 /// A single input assignment: one value per primary input, in declaration
 /// order.
@@ -67,24 +67,15 @@ impl std::fmt::Display for PatternSetTooLarge {
 
 impl std::error::Error for PatternSetTooLarge {}
 
-/// The largest input count [`exhaustive_patterns`] will materialise.
+/// The largest input count [`try_exhaustive_patterns`] will materialise.
 pub const EXHAUSTIVE_MATERIALIZE_LIMIT: usize = 24;
 
-/// All `2^n` input patterns of an `n`-input network, in minterm order.
+/// All `2^n` input patterns of an `n`-input network, in minterm order,
+/// or [`PatternSetTooLarge`] past 24 inputs (16 M patterns).
 ///
 /// This materialises `2^n` `Vec<bool>`s and is meant for small `n` only;
 /// bulk consumers (redundancy removal, verification) should stream
 /// [`exhaustive_blocks`] instead.
-///
-/// # Panics
-///
-/// Panics if `n > 24` (16 M patterns); use [`try_exhaustive_patterns`]
-/// to handle that case as an error.
-pub fn exhaustive_patterns(n: usize) -> Vec<Pattern> {
-    try_exhaustive_patterns(n).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`exhaustive_patterns`].
 pub fn try_exhaustive_patterns(n: usize) -> Result<Vec<Pattern>, PatternSetTooLarge> {
     if n > EXHAUSTIVE_MATERIALIZE_LIMIT {
         return Err(PatternSetTooLarge {
@@ -368,7 +359,7 @@ pub(crate) fn eval_gate_words(kind: xsynth_net::GateKind, fanins: &[SignalId], v
 /// list (both must have the same input/output counts). This is the
 /// workhorse behind the `verify`-style checks in the benchmark harness;
 /// for complete certainty on small circuits pass
-/// [`exhaustive_patterns`].
+/// [`try_exhaustive_patterns`].
 pub fn equivalent_on(a: &Network, b: &Network, patterns: &[Pattern]) -> bool {
     equivalent_on_blocks(a, b, pack_patterns(a.inputs().len(), patterns))
 }
@@ -394,23 +385,6 @@ where
 /// Panics if the networks' input count exceeds 32.
 pub fn equivalent_exhaustive(a: &Network, b: &Network) -> bool {
     equivalent_on_blocks(a, b, exhaustive_blocks(a.inputs().len()))
-}
-
-/// [`equivalent_on`] recording into a trace buffer: runs inside an
-/// `equivalent_on` span and counts the patterns (`sim.patterns`) and
-/// 64-lane simulation blocks (`sim.blocks`) each network was driven with.
-pub fn equivalent_on_traced(
-    a: &Network,
-    b: &Network,
-    patterns: &[Pattern],
-    buf: &mut TraceBuffer,
-) -> bool {
-    buf.span("equivalent_on", |buf| {
-        buf.count("sim.patterns", 2 * patterns.len() as u64);
-        buf.count("sim.blocks", 2 * patterns.chunks(64).len() as u64);
-        buf.gauge("sim.pattern_blocks", patterns.chunks(64).len() as f64);
-        equivalent_on(a, b, patterns)
-    })
 }
 
 #[cfg(test)]
@@ -442,7 +416,7 @@ mod tests {
     fn block_simulation_matches_scalar_eval() {
         let n = adder2();
         let sim = Simulator::new(&n);
-        let pats = exhaustive_patterns(4);
+        let pats = try_exhaustive_patterns(4).unwrap();
         let outs = sim.outputs_for_patterns(&pats);
         for (m, out) in outs.iter().enumerate() {
             assert_eq!(*out, n.eval_u64(m as u64), "pattern {m}");
@@ -453,7 +427,7 @@ mod tests {
     fn adder_adds() {
         let n = adder2();
         let sim = Simulator::new(&n);
-        let outs = sim.outputs_for_patterns(&exhaustive_patterns(4));
+        let outs = sim.outputs_for_patterns(&try_exhaustive_patterns(4).unwrap());
         for m in 0..16u64 {
             let a = m & 0b11;
             let b = (m >> 2) & 0b11;
@@ -472,7 +446,7 @@ mod tests {
         let g = n.add_gate(GateKind::And, vec![a, b]);
         n.add_output("y", g);
         let sim = Simulator::new(&n);
-        let (counts, total) = sim.node_one_counts(&exhaustive_patterns(2));
+        let (counts, total) = sim.node_one_counts(&try_exhaustive_patterns(2).unwrap());
         assert_eq!(total, 4);
         assert_eq!(counts[g.index()], 1);
         assert_eq!(counts[a.index()], 2);
@@ -489,7 +463,7 @@ mod tests {
         let root = n.add_gate(GateKind::Xor, vec![ab, c]);
         let stray = n.add_gate(GateKind::Or, vec![a, c]);
         let sim = Simulator::for_cone(&n, root);
-        let pats = exhaustive_patterns(3);
+        let pats = try_exhaustive_patterns(3).unwrap();
         for block in pack_patterns(3, &pats) {
             let val = sim.simulate_block(&block.words);
             for (k, p) in pats.iter().enumerate().take(block.lanes as usize) {
@@ -515,7 +489,7 @@ mod tests {
     fn more_than_64_patterns() {
         let n = adder2();
         let sim = Simulator::new(&n);
-        let mut pats = exhaustive_patterns(4);
+        let mut pats = try_exhaustive_patterns(4).unwrap();
         // repeat to cross the 64-pattern block boundary
         let reps = pats.clone();
         for _ in 0..8 {
@@ -531,7 +505,7 @@ mod tests {
     #[test]
     fn exhaustive_blocks_match_materialised_patterns() {
         for n in [0usize, 1, 3, 5, 6, 7, 9] {
-            let pats = exhaustive_patterns(n);
+            let pats = try_exhaustive_patterns(n).unwrap();
             let packed = pack_patterns(n, &pats);
             let streamed: Vec<PatternBlock> = exhaustive_blocks(n).collect();
             assert_eq!(packed, streamed, "n={n}");
@@ -577,12 +551,20 @@ mod tests {
     fn equivalence_checking() {
         let n1 = adder2();
         let mut n2 = adder2().sweep();
-        assert!(equivalent_on(&n1, &n2, &exhaustive_patterns(4)));
+        assert!(equivalent_on(
+            &n1,
+            &n2,
+            &try_exhaustive_patterns(4).unwrap()
+        ));
         // break it
         let out = n2.outputs()[0].1;
         if n2.gate_kind(out).is_some() {
             n2.replace_gate(out, GateKind::Xnor, n2.fanins(out).to_vec());
-            assert!(!equivalent_on(&n1, &n2, &exhaustive_patterns(4)));
+            assert!(!equivalent_on(
+                &n1,
+                &n2,
+                &try_exhaustive_patterns(4).unwrap()
+            ));
         }
     }
 }

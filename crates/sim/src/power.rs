@@ -8,7 +8,7 @@
 //! output). The absolute scale is arbitrary; only ratios between circuits
 //! are meaningful, which is all the paper's `improve%power` column uses.
 
-use crate::{exhaustive_patterns, random_patterns, Pattern, Simulator};
+use crate::{random_patterns, try_exhaustive_patterns, Pattern, Simulator};
 use std::fmt;
 use xsynth_net::{Network, NodeKind};
 
@@ -47,7 +47,7 @@ pub fn signal_activity(net: &Network, patterns: &[Pattern]) -> Vec<f64> {
 pub fn power_estimate(net: &Network) -> PowerReport {
     let n = net.inputs().len();
     let patterns = if n <= 16 {
-        exhaustive_patterns(n)
+        try_exhaustive_patterns(n).expect("16 inputs are within the materialise limit")
     } else {
         random_patterns(n, 4096, 0x5eed)
     };
@@ -110,7 +110,7 @@ mod tests {
         let b = n.add_input("b");
         let g = n.add_gate(GateKind::And, vec![a, b]);
         n.add_output("y", g);
-        let act = signal_activity(&n, &exhaustive_patterns(2));
+        let act = signal_activity(&n, &try_exhaustive_patterns(2).unwrap());
         // p(and)=0.25, activity = 2·0.25·0.75 = 0.375
         assert!((act[g.index()] - 0.375).abs() < 1e-9);
         assert!((act[a.index()] - 0.5).abs() < 1e-9);

@@ -22,12 +22,11 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use xsynth_blif::{parse_blif, parse_pla, write_blif};
 use xsynth_core::{
-    phase, try_synthesize, Budget, EquivChecker, Error, FactorMethod, SynthOptions, SynthOutcome,
+    phase, Budget, Engine, EquivChecker, Error, Flow, SynthOptions, SynthOptionsBuilder,
     SynthReport,
 };
 use xsynth_map::{map_network, Library};
 use xsynth_net::Network;
-use xsynth_sop::{script_algebraic, ScriptOptions};
 use xsynth_trace::json::Value;
 use xsynth_trace::Trace;
 
@@ -42,8 +41,8 @@ pub struct Command {
     pub input2: Option<String>,
     /// Output path (`-o`), stdout when absent.
     pub output: Option<String>,
-    /// Synthesis engine.
-    pub engine: Engine,
+    /// Synthesis flow (`--method`).
+    pub flow: Flow,
     /// Skip the redundancy-removal pass.
     pub no_redundancy: bool,
     /// Disable the per-output salvage ladder: the first fault in any
@@ -109,23 +108,6 @@ pub enum Action {
     Top,
 }
 
-/// Which synthesis engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The paper's FPRM flow (default).
-    Fprm,
-    /// The paper's FPRM flow, cube method only.
-    FprmCube,
-    /// The paper's FPRM flow, OFDD method only.
-    FprmOfdd,
-    /// The Kronecker-FDD extension.
-    Kfdd,
-    /// The SIS-style SOP baseline.
-    Sop,
-    /// No optimization (parse and re-emit).
-    None,
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 usage: xsynth <synth|stats|map|bench|verify|serve|top> [input] [options]
@@ -168,7 +150,7 @@ top options:
 
 options:
   -o FILE               write output to FILE
-  --method ENGINE       fprm (default) | cube | ofdd | kfdd | sop | none
+  --method FLOW         fprm (default) | cube | ofdd | kfdd | sop | none
   --no-redundancy       skip the XOR redundancy-removal pass
   --no-salvage          disable the per-output salvage ladder (first fault
                         in any output's pipeline is fatal)
@@ -237,7 +219,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             .map_err(|_| format!("{flag} needs a number, got '{v}'"))
     }
     let mut output = None;
-    let mut engine = Engine::Fprm;
+    let mut flow = Flow::Fprm;
     let mut no_redundancy = false;
     let mut no_salvage = false;
     let mut stats = false;
@@ -281,15 +263,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 )
             }
             "--method" => {
-                engine = match it.next().map(String::as_str) {
-                    Some("fprm") => Engine::Fprm,
-                    Some("cube") => Engine::FprmCube,
-                    Some("ofdd") => Engine::FprmOfdd,
-                    Some("kfdd") => Engine::Kfdd,
-                    Some("sop") => Engine::Sop,
-                    Some("none") => Engine::None,
-                    other => return Err(format!("bad --method {other:?}")),
-                }
+                let name = it.next().map(String::as_str);
+                flow = name
+                    .and_then(Flow::parse)
+                    .ok_or_else(|| format!("bad --method {name:?}"))?;
             }
             "--no-redundancy" => no_redundancy = true,
             "--no-salvage" => no_salvage = true,
@@ -354,7 +331,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         input,
         input2,
         output,
-        engine,
+        flow,
         no_redundancy,
         no_salvage,
         stats,
@@ -452,35 +429,26 @@ fn load_source(input: &str, bench_only: bool) -> Result<Network, Error> {
     }
 }
 
-/// Runs the chosen engine. FPRM-family engines also return the synthesis
-/// report (for `--stats` and `--trace-json`); the SOP baseline and `none`
-/// have no report.
+/// The synthesis options the command's flags select; the flow's
+/// factorization method is set by whoever runs the flow.
+fn synth_options(cmd: &Command) -> SynthOptionsBuilder {
+    SynthOptions::builder()
+        .redundancy_removal(!cmd.no_redundancy)
+        .salvage(!cmd.no_salvage)
+        .budget(cmd.budget.clone())
+}
+
+/// Runs the chosen flow on a one-shot engine. FPRM-family flows also
+/// return the synthesis report (for `--stats` and `--trace-json`); the SOP
+/// baseline and `none` have no report.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Budget`] when the command's budget is too tight for
 /// the pipeline to produce any result.
-pub fn run_engine(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
-    match cmd.engine {
-        Engine::None => Ok((spec.sweep(), None)),
-        Engine::Sop => Ok((script_algebraic(spec, &ScriptOptions::default()), None)),
-        Engine::Fprm | Engine::FprmCube | Engine::FprmOfdd | Engine::Kfdd => {
-            let method = match cmd.engine {
-                Engine::FprmCube => FactorMethod::Cube,
-                Engine::FprmOfdd => FactorMethod::Ofdd,
-                Engine::Kfdd => FactorMethod::Kfdd,
-                _ => FactorMethod::Best,
-            };
-            let opts = SynthOptions::builder()
-                .method(method)
-                .redundancy_removal(!cmd.no_redundancy)
-                .salvage(!cmd.no_salvage)
-                .budget(cmd.budget.clone())
-                .build();
-            let SynthOutcome { network, report } = try_synthesize(spec, &opts)?;
-            Ok((network, Some(report)))
-        }
-    }
+pub fn run_flow(cmd: &Command, spec: &Network) -> Result<(Network, Option<SynthReport>), Error> {
+    cmd.flow
+        .run(&Engine::with_options(synth_options(cmd).build()), spec)
 }
 
 /// Renders the report's degradation notes — curtailed phases, a
@@ -589,18 +557,6 @@ pub fn render_report(report: &SynthReport) -> String {
     s
 }
 
-/// The telemetry `flow` label for an engine.
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Fprm => "fprm",
-        Engine::FprmCube => "fprm-cube",
-        Engine::FprmOfdd => "fprm-ofdd",
-        Engine::Kfdd => "kfdd",
-        Engine::Sop => "sop",
-        Engine::None => "none",
-    }
-}
-
 /// Writes a single-record benchmark telemetry suite describing the exact
 /// run the CLI just performed (same `BENCH_*.json` schema as
 /// `table2 --json`; diffable with `bench_compare`).
@@ -615,7 +571,7 @@ fn write_bench_json(
     let lib = Library::mcnc();
     let measured = xsynth_bench::record_from_run(
         &cmd.input,
-        engine_label(cmd.engine),
+        cmd.flow.name(),
         spec,
         result.clone(),
         report,
@@ -631,7 +587,7 @@ fn write_bench_json(
     Ok(format!("# wrote benchmark record to {path}\n"))
 }
 
-/// Writes the run's Chrome `trace_event` JSON to `path` (engines without a
+/// Writes the run's Chrome `trace_event` JSON to `path` (flows without a
 /// synthesis report emit an empty but valid trace document).
 fn write_trace_json(path: &str, report: Option<&SynthReport>) -> Result<String, Error> {
     let json = match report {
@@ -708,7 +664,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
         }
         Action::Synth | Action::Bench => {
             let t0 = std::time::Instant::now();
-            let (result, report) = run_engine(cmd, &spec)?;
+            let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
             let mut checker = EquivChecker::with_budget(&spec, &cmd.budget);
             if !checker.try_check(&result)? {
@@ -755,7 +711,7 @@ pub fn execute(cmd: &Command) -> Result<String, Error> {
         }
         Action::Map => {
             let t0 = std::time::Instant::now();
-            let (result, report) = run_engine(cmd, &spec)?;
+            let (result, report) = run_flow(cmd, &spec)?;
             let synth_seconds = t0.elapsed().as_secs_f64();
             let lib = Library::mcnc();
             let mapped = map_network(&result, &lib);
@@ -810,7 +766,7 @@ const SUPERVISED_ENV: &str = "XSYNTH_SERVE_SUPERVISED";
 /// Runs the `serve` daemon: binds the configured listeners, announces
 /// them on stdout (so scripts using an ephemeral TCP port can read the
 /// bound address), and blocks until a `shutdown` request drains the
-/// queue. Jobs inherit the command's engine, redundancy/salvage flags
+/// queue. Jobs inherit the command's flow, redundancy/salvage flags
 /// and budget as daemon defaults; each job may override its budget.
 ///
 /// With `--drain-on-term` the process forks into a supervisor/daemon
@@ -823,21 +779,11 @@ fn run_serve(cmd: &Command) -> Result<String, Error> {
     if cmd.drain_on_term && !supervised {
         return run_serve_supervisor(cmd);
     }
-    let method = match cmd.engine {
-        Engine::Fprm => FactorMethod::Best,
-        Engine::FprmCube => FactorMethod::Cube,
-        Engine::FprmOfdd => FactorMethod::Ofdd,
-        Engine::Kfdd => FactorMethod::Kfdd,
-        Engine::Sop | Engine::None => {
-            return Err(Error::msg("serve only runs the FPRM-family engines"));
-        }
-    };
-    let options = SynthOptions::builder()
-        .method(method)
-        .redundancy_removal(!cmd.no_redundancy)
-        .salvage(!cmd.no_salvage)
-        .budget(cmd.budget.clone())
-        .build();
+    let method = cmd
+        .flow
+        .method()
+        .ok_or_else(|| Error::msg("serve only runs the FPRM-family engines"))?;
+    let options = synth_options(cmd).method(method).build();
     let mut opts = xsynth_serve::ServeOptions {
         tcp: cmd.tcp.clone(),
         unix: cmd.socket.clone().map(Into::into),
@@ -942,7 +888,7 @@ fn run_serve_supervisor(cmd: &Command) -> Result<String, Error> {
 /// Reconstructs the `serve` argv of a parsed [`Command`] so the
 /// supervisor can re-execute itself as the daemon child. Inverse of
 /// [`parse_args`] for the serve-relevant subset (listeners, workers,
-/// cache, engine, redundancy/salvage, budget, overload limits).
+/// cache, flow, redundancy/salvage, budget, overload limits).
 fn serve_argv(cmd: &Command) -> Vec<String> {
     let mut v = vec!["serve".to_string()];
     let mut flag = |name: &str, value: Option<String>| {
@@ -963,16 +909,8 @@ fn serve_argv(cmd: &Command) -> Vec<String> {
     if let Some(mb) = cmd.cache_mb {
         flag("--cache-mb", Some(mb.to_string()));
     }
-    if cmd.engine != Engine::Fprm {
-        let name = match cmd.engine {
-            Engine::Fprm => "fprm",
-            Engine::FprmCube => "cube",
-            Engine::FprmOfdd => "ofdd",
-            Engine::Kfdd => "kfdd",
-            Engine::Sop => "sop",
-            Engine::None => "none",
-        };
-        flag("--method", Some(name.to_string()));
+    if cmd.flow != Flow::Fprm {
+        flag("--method", Some(cmd.flow.name().to_string()));
     }
     if cmd.no_redundancy {
         flag("--no-redundancy", None);
@@ -1214,7 +1152,7 @@ mod tests {
         assert_eq!(c.action, Action::Synth);
         assert_eq!(c.input, "foo.blif");
         assert_eq!(c.output.as_deref(), Some("out.blif"));
-        assert_eq!(c.engine, Engine::Sop);
+        assert_eq!(c.flow, Flow::Sop);
     }
 
     #[test]
@@ -1363,7 +1301,7 @@ mod tests {
             input: "f2".into(),
             input2: None,
             output: Some(outp.display().to_string()),
-            engine: Engine::Fprm,
+            flow: Flow::Fprm,
             no_redundancy: false,
             no_salvage: false,
             stats: false,
@@ -1617,21 +1555,47 @@ mod tests {
     }
 
     #[test]
+    fn flow_registry_drives_method_usage_telemetry_and_serve() {
+        let usage: Vec<&str> = USAGE
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("--method FLOW"))
+            .expect("USAGE documents --method")
+            .split('|')
+            .map(|m| m.trim().trim_end_matches(" (default)"))
+            .collect();
+        let names: Vec<&str> = Flow::ALL.iter().map(|f| f.name()).collect();
+        assert_eq!(usage, names);
+        let dir = std::env::temp_dir().join("xsynth_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for flow in Flow::ALL {
+            let name = flow.name();
+            assert_eq!(Flow::parse(name), Some(flow));
+            let p = dir.join(format!("rd53-{name}.json"));
+            let line = format!("bench rd53 --method {name} --bench-json {}", p.display());
+            assert_eq!(parse_args(&argv(&line)).unwrap().flow, flow);
+            run(&argv(&line)).unwrap();
+            let text = std::fs::read_to_string(&p).unwrap();
+            let suite = xsynth_bench::BenchSuite::from_json(&text).unwrap();
+            assert_eq!(suite.records[0].flow, name);
+            // serve keeps the FPRM family (then fails for want of a
+            // listener) and turns the rest away; both are usage errors
+            let cmd = parse_args(&argv(&format!("serve --method {name}"))).unwrap();
+            let err = execute(&cmd).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            let rejected = err.to_string().contains("only runs the FPRM-family");
+            assert_eq!(rejected, flow.method().is_none(), "{name}: {err}");
+        }
+    }
+
+    #[test]
     fn engines_all_verify() {
-        for engine in [
-            Engine::Fprm,
-            Engine::FprmCube,
-            Engine::FprmOfdd,
-            Engine::Kfdd,
-            Engine::Sop,
-            Engine::None,
-        ] {
+        for flow in Flow::ALL {
             let cmd = Command {
                 action: Action::Bench,
                 input: "rd53".into(),
                 input2: None,
                 output: None,
-                engine,
+                flow,
                 no_redundancy: false,
                 no_salvage: false,
                 stats: false,

@@ -15,7 +15,7 @@
 //! # Quick start
 //!
 //! ```
-//! use xsynth::core::{synthesize, SynthOptions};
+//! use xsynth::core::Engine;
 //! use xsynth::net::{GateKind, Network};
 //!
 //! // specify a full adder
@@ -32,13 +32,14 @@
 //! spec.add_output("cout", cout);
 //!
 //! // run the paper's FPRM flow
-//! let outcome = synthesize(&spec, &SynthOptions::default());
+//! let outcome = Engine::new().try_synthesize(&spec)?;
 //! assert!(outcome.report.redundancy.reverted == 0);
 //! for m in 0..8 {
 //!     assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
 //! }
 //! // every run carries a structured trace of the pipeline phases
 //! assert!(outcome.report.trace.span_names().contains("synthesize"));
+//! # Ok::<(), xsynth::core::Error>(())
 //! ```
 
 #![warn(missing_docs)]

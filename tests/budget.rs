@@ -3,7 +3,7 @@
 //! for parse, budget and verification failures.
 
 use xsynth::cli::run;
-use xsynth::core::{try_synthesize, Budget, Error, SynthOptions};
+use xsynth::core::{Budget, Engine, Error, SynthOptions};
 use xsynth::trace::TraceSink;
 
 fn argv(s: &str) -> Vec<String> {
@@ -28,7 +28,7 @@ fn i4_under_node_cap_degrades_or_errors_cleanly() {
         .budget(Budget::default().bdd_node_cap(Some(CAP)))
         .trace(sink.clone())
         .build();
-    match try_synthesize(&spec, &opts) {
+    match Engine::with_options(opts.clone()).try_synthesize(&spec) {
         Ok(outcome) => {
             // 192 inputs is far beyond the exact-BDD verification limit,
             // so a successful run must have been verified by simulation
@@ -139,7 +139,7 @@ fn parallel_node_cap_is_one_global_budget() {
         .budget(Budget::default().bdd_node_cap(Some(CAP)))
         .trace(sink.clone())
         .build();
-    match try_synthesize(&spec, &opts) {
+    match Engine::with_options(opts.clone()).try_synthesize(&spec) {
         Ok(outcome) => {
             for m in 0..256u64 {
                 assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
@@ -168,10 +168,10 @@ fn double_negation_allocates_zero_nodes() {
     let mut m = BddManager::new(8);
     let mut f = m.constant(false);
     for v in 0..8 {
-        let x = m.var(v);
-        let fx = m.and(f, x);
-        f = m.xor(f, fx);
-        f = m.or(f, x);
+        let x = m.try_var(v).unwrap();
+        let fx = m.try_and(f, x).unwrap();
+        f = m.try_xor(f, fx).unwrap();
+        f = m.try_or(f, x).unwrap();
     }
     let before = m.num_nodes();
     let nf = m.not(f);
@@ -204,8 +204,9 @@ fn negate_heavy_fprm_descent_completes_under_a_tight_cap() {
         .budget(Budget::default().bdd_node_cap(Some(CAP)))
         .trace(sink.clone())
         .build();
-    let outcome =
-        try_synthesize(&spec, &opts).expect("complement edges fit the descent under the cap");
+    let outcome = Engine::with_options(opts.clone())
+        .try_synthesize(&spec)
+        .expect("complement edges fit the descent under the cap");
     for m in 0..256u64 {
         assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
     }
@@ -239,7 +240,9 @@ fn starved_run_survives_with_curtailment_report() {
         )
         .parallel(false)
         .build();
-    let outcome = try_synthesize(&spec, &opts).expect("time starvation degrades, never errors");
+    let outcome = Engine::with_options(opts.clone())
+        .try_synthesize(&spec)
+        .expect("time starvation degrades, never errors");
     for m in 0..32u64 {
         assert_eq!(outcome.network.eval_u64(m), spec.eval_u64(m));
     }

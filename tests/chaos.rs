@@ -18,9 +18,11 @@
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
+use xsynth_bench::{measure_flow, MeasureOptions};
 use xsynth_core::{
-    try_synthesize, EquivChecker, Error, FactorMethod, SalvageRung, SynthOptions, SynthOutcome,
+    Engine, EquivChecker, Error, FactorMethod, Flow, SalvageRung, SynthOptions, SynthOutcome,
 };
+use xsynth_map::Library;
 use xsynth_net::Network;
 use xsynth_trace::failpoint::{self, Action, FailPlan};
 
@@ -43,13 +45,15 @@ fn circuit(name: &str) -> Network {
 /// Verification of a successful result runs with everything disarmed, so
 /// an armed `core.verify` or `sim.block` cannot vouch for a bad network.
 fn run_contained(spec: &Network, opts: &SynthOptions) -> Result<SynthOutcome, Error> {
-    let result = catch_unwind(AssertUnwindSafe(|| try_synthesize(spec, opts)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        Engine::with_options(opts.clone()).try_synthesize(spec)
+    }));
     failpoint::disarm();
     let result = result.expect("a panic escaped try_synthesize");
     if let Ok(outcome) = &result {
         let mut checker = EquivChecker::new(spec);
         assert!(
-            checker.check(&outcome.network),
+            checker.try_check(&outcome.network).unwrap(),
             "salvaged or clean result must still match the spec"
         );
     }
@@ -117,6 +121,30 @@ fn no_salvage_makes_the_first_fault_fatal() {
     // ...and indeed the same plan with salvage on succeeds
     failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Error, 1, 1));
     run_contained(&spec, &opts()).expect("ladder recovers the same fault");
+}
+
+#[test]
+fn bench_harness_returns_a_fatal_fault_as_a_typed_error() {
+    let _g = exclusive();
+    let spec = circuit("majority");
+    failpoint::arm(&FailPlan::new().point_for("core.plan", Action::Panic, 1, 3));
+    let opts = MeasureOptions {
+        synth: SynthOptions::builder()
+            .parallel(false)
+            .salvage(false)
+            .build(),
+        ..Default::default()
+    };
+    let lib = Library::mcnc();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        measure_flow("majority", &spec, Flow::Fprm, &lib, &opts)
+    }));
+    failpoint::disarm();
+    let err = result
+        .expect("a panic escaped measure_flow")
+        .expect_err("salvage is off, so the first fault is fatal");
+    assert!(matches!(err, Error::OutputFailed { .. }), "{err}");
+    assert_eq!(err.exit_code(), 9);
 }
 
 #[test]
@@ -254,8 +282,12 @@ fn swept_sites() -> &'static [String] {
                 .parallel(false)
                 .method(FactorMethod::Cube)
                 .build();
-            try_synthesize(&spec, &cube).expect("clean warmup");
-            try_synthesize(&spec, &opts()).expect("clean warmup");
+            Engine::with_options(cube.clone())
+                .try_synthesize(&spec)
+                .expect("clean warmup");
+            Engine::with_options(opts())
+                .try_synthesize(&spec)
+                .expect("clean warmup");
         }
         let sites = failpoint::registered();
         assert!(

@@ -2,7 +2,7 @@
 
 use xsynth::boolean::{Fprm, TruthTable};
 use xsynth::circuits;
-use xsynth::core::{synthesize, SynthOptions};
+use xsynth::core::Engine;
 use xsynth::map::{map_network, Library};
 
 fn t481_table() -> TruthTable {
@@ -39,7 +39,7 @@ fn t481_synthesizes_to_a_small_and_or_circuit() {
     // The paper's final circuit is 25 two-input AND/OR gates; SIS rugged
     // needed 237. Our reproduction must land in the paper's ballpark.
     let spec = circuits::build("t481").expect("registered");
-    let outcome = synthesize(&spec, &SynthOptions::default());
+    let outcome = Engine::new().try_synthesize(&spec).unwrap();
     let (out, report) = (outcome.network, outcome.report);
     let (gates, lits) = out.two_input_cost();
     assert!(
@@ -60,7 +60,7 @@ fn t481_mapped_size_is_paper_shaped() {
     // Table 2: 23 gates / 48 literals after mapping for the paper's flow
     // (vs 190/438 for SIS).
     let spec = circuits::build("t481").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = Engine::new().try_synthesize(&spec).unwrap().network;
     let mapped = map_network(&out, &Library::mcnc());
     assert!(
         mapped.num_gates() <= 35,

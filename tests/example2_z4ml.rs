@@ -2,7 +2,7 @@
 
 use xsynth::boolean::{Fprm, Polarity};
 use xsynth::circuits;
-use xsynth::core::{synthesize, SynthOptions};
+use xsynth::core::Engine;
 use xsynth::sop::{script_algebraic, ScriptOptions};
 
 #[test]
@@ -28,7 +28,7 @@ fn z4ml_has_32_fprm_cubes_all_prime_per_output() {
 fn z4ml_fprm_flow_beats_the_sop_baseline() {
     // Example 2: 21 two-input gates (ours) vs 24 (SIS best).
     let spec = circuits::build("z4ml").expect("registered");
-    let outcome = synthesize(&spec, &SynthOptions::default());
+    let outcome = Engine::new().try_synthesize(&spec).unwrap();
     let (ours, report) = (outcome.network, outcome.report);
     let baseline = script_algebraic(&spec, &ScriptOptions::default());
     let (our_gates, _) = ours.two_input_cost();
@@ -53,7 +53,7 @@ fn z4ml_fprm_flow_beats_the_sop_baseline() {
 fn adder_family_stays_equivalent() {
     for name in ["adr4", "radd", "cm82a", "add6"] {
         let spec = circuits::build(name).expect("registered");
-        let outcome = synthesize(&spec, &SynthOptions::default());
+        let outcome = Engine::new().try_synthesize(&spec).unwrap();
         let (ours, report) = (outcome.network, outcome.report);
         assert_eq!(
             report.redundancy.reverted, 0,

@@ -2,16 +2,16 @@
 //! preserve functionality over the benchmark suite.
 
 use xsynth::circuits::{build, registry};
-use xsynth::core::{synthesize, EquivChecker, SynthOptions};
+use xsynth::core::{Engine, EquivChecker};
 use xsynth::map::{map_network, Library};
-use xsynth::sim::{equivalent_on, exhaustive_patterns, random_patterns};
+use xsynth::sim::{equivalent_on, random_patterns, try_exhaustive_patterns};
 use xsynth::sop::{script_algebraic, ScriptOptions};
 
 /// Patterns for an equivalence spot-check: exhaustive when small, random
 /// otherwise.
 fn check_patterns(n: usize) -> Vec<Vec<bool>> {
     if n <= 10 {
-        exhaustive_patterns(n)
+        try_exhaustive_patterns(n).unwrap()
     } else {
         random_patterns(n, 2048, 7)
     }
@@ -24,7 +24,7 @@ fn fprm_flow_preserves_every_small_benchmark() {
             continue; // wide circuits are covered by the checker test below
         }
         let spec = build(b.name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         assert!(
             equivalent_on(&spec, &out, &check_patterns(b.io.0)),
             "{} FPRM result differs",
@@ -60,8 +60,11 @@ fn wide_benchmarks_verify_through_the_checker() {
     for name in ["my_adder", "misg", "i5"] {
         let spec = build(name).expect("registered");
         let mut checker = EquivChecker::new(&spec);
-        let out = synthesize(&spec, &SynthOptions::default()).network;
-        assert!(checker.check(&out), "{name} failed verification");
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
+        assert!(
+            checker.try_check(&out).unwrap(),
+            "{name} failed verification"
+        );
     }
 }
 
@@ -70,11 +73,11 @@ fn mapper_preserves_synthesized_networks() {
     let lib = Library::mcnc();
     for name in ["z4ml", "rd53", "f2", "cm82a", "bcd-div3"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         let mapped = map_network(&out, &lib).to_network(&lib);
         let n = spec.inputs().len();
         assert!(
-            equivalent_on(&spec, &mapped, &exhaustive_patterns(n)),
+            equivalent_on(&spec, &mapped, &try_exhaustive_patterns(n).unwrap()),
             "{name} mapped netlist differs"
         );
     }
@@ -84,8 +87,12 @@ fn mapper_preserves_synthesized_networks() {
 fn flows_compose_with_blif_roundtrip() {
     // synthesize → write BLIF → parse BLIF → still equivalent
     let spec = build("rd53").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = Engine::new().try_synthesize(&spec).unwrap().network;
     let text = xsynth::blif::write_blif(&out);
     let back = xsynth::blif::parse_blif(&text).expect("own BLIF output parses");
-    assert!(equivalent_on(&spec, &back, &exhaustive_patterns(5)));
+    assert!(equivalent_on(
+        &spec,
+        &back,
+        &try_exhaustive_patterns(5).unwrap()
+    ));
 }

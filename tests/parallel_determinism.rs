@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use xsynth_bdd::BddManager;
 use xsynth_boolean::{Polarity, TruthTable};
-use xsynth_core::{synthesize, SynthOptions, SynthReport};
+use xsynth_core::{Engine, SynthOptions, SynthReport};
 use xsynth_ofdd::{OfddManager, PolaritySearch};
 
 /// The non-timing content of a report, for equality checks.
@@ -30,8 +30,12 @@ fn parallel_equals_sequential_over_the_registry() {
         let spec = xsynth_circuits::build(bench.name).expect("registered circuit builds");
         let par_opts = SynthOptions::builder().parallel(true).build();
         let seq_opts = SynthOptions::builder().parallel(false).build();
-        let par = synthesize(&spec, &par_opts);
-        let seq = synthesize(&spec, &seq_opts);
+        let par = Engine::with_options(par_opts.clone())
+            .try_synthesize(&spec)
+            .unwrap();
+        let seq = Engine::with_options(seq_opts.clone())
+            .try_synthesize(&spec)
+            .unwrap();
         assert_eq!(
             xsynth_blif::write_blif(&par.network),
             xsynth_blif::write_blif(&seq.network),
@@ -93,11 +97,11 @@ fn parallel_equals_sequential_over_the_registry() {
 fn greedy_unmemoized(t: &TruthTable) -> (Polarity, u64) {
     let n = t.num_vars();
     let mut bm = BddManager::new(n);
-    let f = bm.from_table(t);
+    let f = bm.try_from_table(t).unwrap();
     let support: Vec<usize> = bm.support(f).iter().collect();
     let count_of = |bm: &mut BddManager, pol: &Polarity| {
         let mut om = OfddManager::new(pol.clone());
-        let root = om.from_bdd(bm, f);
+        let root = om.try_from_bdd(bm, f).unwrap();
         om.num_cubes(root)
     };
     let mut pol = Polarity::all_positive(n);
@@ -132,7 +136,7 @@ proptest! {
         let (ref_pol, ref_count) = greedy_unmemoized(&tt);
 
         let mut bm = BddManager::new(n);
-        let f = bm.from_table(&tt);
+        let f = bm.try_from_table(&tt).unwrap();
         let support: Vec<usize> = bm.support(f).iter().collect();
         let mut search = PolaritySearch::new(&mut bm, f);
         let (pol, count) = search.greedy(&support);
@@ -141,7 +145,7 @@ proptest! {
         prop_assert_eq!(pol, ref_pol);
         // and the parallel candidate evaluation must not change the answer
         let mut bm2 = BddManager::new(n);
-        let f2 = bm2.from_table(&tt);
+        let f2 = bm2.try_from_table(&tt).unwrap();
         let mut psearch = PolaritySearch::new(&mut bm2, f2).parallel(true);
         let (ppol, pcount) = psearch.greedy(&support);
         prop_assert_eq!(pcount, ref_count);

@@ -6,8 +6,8 @@
 use xsynth::boolean::{Fprm, TruthTable};
 use xsynth::circuits::build;
 use xsynth::core::atpg::generate_tests;
-use xsynth::core::{merge_patterns, paper_patterns, synthesize, PatternOptions, SynthOptions};
-use xsynth::sim::{enumerate_faults, exhaustive_patterns, fault_simulate};
+use xsynth::core::{merge_patterns, paper_patterns, Engine, PatternOptions};
+use xsynth::sim::{enumerate_faults, fault_simulate, try_exhaustive_patterns};
 
 /// Derives the paper's pattern family for every output of a circuit.
 fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
@@ -32,11 +32,11 @@ fn derive_patterns(spec: &xsynth::net::Network) -> Vec<Vec<bool>> {
 fn paper_pattern_family_matches_exhaustive_coverage() {
     for name in ["z4ml", "rd53", "f2", "cm82a"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         let faults = enumerate_faults(&out);
         let n = spec.inputs().len();
 
-        let exhaustive = fault_simulate(&out, &exhaustive_patterns(n), &faults);
+        let exhaustive = fault_simulate(&out, &try_exhaustive_patterns(n).unwrap(), &faults);
         let paper_set = derive_patterns(&spec);
         let with_paper = fault_simulate(&out, &paper_set, &faults);
 
@@ -60,11 +60,11 @@ fn synthesized_networks_are_nearly_irredundant() {
     // redundancy removal should leave few untestable faults
     for name in ["z4ml", "rd53", "t481"] {
         let spec = build(name).expect("registered");
-        let out = synthesize(&spec, &SynthOptions::default()).network;
+        let out = Engine::new().try_synthesize(&spec).unwrap().network;
         let faults = enumerate_faults(&out);
         let n = spec.inputs().len();
         let patterns = if n <= 12 {
-            exhaustive_patterns(n)
+            try_exhaustive_patterns(n).unwrap()
         } else {
             xsynth::sim::random_patterns(n, 4096, 11)
         };
@@ -85,9 +85,9 @@ fn xor_rich_circuits_keep_full_coverage() {
     // patterns) plus AZ/AO detects them — the classic Reed-Muller
     // testability result the paper builds on (Reddy).
     let spec = build("xor10").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = Engine::new().try_synthesize(&spec).unwrap().network;
     let faults = enumerate_faults(&out);
-    let exhaustive = fault_simulate(&out, &exhaustive_patterns(10), &faults);
+    let exhaustive = fault_simulate(&out, &try_exhaustive_patterns(10).unwrap(), &faults);
     assert_eq!(exhaustive.coverage(), 1.0, "parity trees are irredundant");
     let paper_set = derive_patterns(&spec);
     let with_paper = fault_simulate(&out, &paper_set, &faults);
@@ -103,7 +103,7 @@ fn derived_family_matches_dedicated_atpg_coverage() {
     // the paper's point: the FPRM-derived family achieves what a real ATPG
     // achieves, without running one. Compare both on a synthesized adder.
     let spec = build("z4ml").expect("registered");
-    let out = synthesize(&spec, &SynthOptions::default()).network;
+    let out = Engine::new().try_synthesize(&spec).unwrap().network;
     let faults = enumerate_faults(&out);
 
     // dedicated, complete BDD-based ATPG
